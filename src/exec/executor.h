@@ -29,7 +29,7 @@
 // Program variables live in G-generation timestamped slots: the write of
 // step s goes to slot (s+1) mod G with stamp s+1, and a reader that
 // statically expects writer step w accepts only stamp w+1 (see
-// DESIGN.md §2 substitution 4).
+// docs/ARCHITECTURE.md, "Substitutions", item 3).
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -14,8 +16,19 @@ namespace {
 
 constexpr std::uint64_t kMaxVarId = std::numeric_limits<std::uint32_t>::max();
 
+/// Memory the analysis may commit to one table before it allocates:
+/// bounds the lowered instruction slots (procs x steps Instrs plus their
+/// source back-pointers) and the two per-variable EREW epoch arrays, so an
+/// oversized declaration is a diagnostic rather than std::bad_alloc.  The
+/// bfs rendering at n=1e5 (4096 procs x 1113 steps, 1.2M vars) needs 17%
+/// of the slot limit and 1% of the variable limit.
+constexpr std::uint64_t kMaxTableBytes = std::uint64_t{1} << 30;
+constexpr std::uint64_t kSlotBytes = sizeof(pram::Instr) + sizeof(void*);
+constexpr std::uint64_t kMaxSlots = kMaxTableBytes / kSlotBytes;
+constexpr std::uint64_t kMaxVars = kMaxTableBytes / (2 * sizeof(std::uint32_t));
+
 /// True for identifiers of the form v<digits> — raw variable indices.
-bool is_raw_ref(const std::string& name) {
+bool is_raw_ref(std::string_view name) {
   if (name.size() < 2 || name[0] != 'v') return false;
   for (std::size_t i = 1; i < name.size(); ++i)
     if (!std::isdigit(static_cast<unsigned char>(name[i]))) return false;
@@ -39,6 +52,7 @@ class Analyzer {
 
   std::optional<pram::Program> run() {
     resolve_layout();
+    if (!within_size_limits()) return std::nullopt;
     resolve_segments();
     std::vector<pram::Step> steps = build_steps();
     if (!diags_.empty()) return std::nullopt;
@@ -81,21 +95,28 @@ class Analyzer {
     // total (raw-index space first, names appended after), so a file can
     // freely mix `vars N` + raw refs with named declarations.
     std::uint64_t next = src_.vars.value_or(0);
+    if (next > kMaxVars) vars_limit_loc_ = src_.vars_loc;
     for (const VarDeclSrc& d : src_.var_decls) {
-      if (is_raw_ref(d.name) || opcode_like(d.name) || reserved(d.name)) {
-        error(d.loc, "variable name '" + d.name + "' is reserved");
+      if (is_raw_ref(d.name) || opcode_from_keyword(d.name) ||
+          reserved(d.name)) {
+        error(d.loc, "variable name '" + std::string(d.name) +
+                         "' is reserved");
         continue;
       }
       if (names_.count(d.name)) {
-        error(d.loc, "variable '" + d.name + "' already declared");
+        error(d.loc,
+              "variable '" + std::string(d.name) + "' already declared");
         continue;
       }
       if (d.count == 0) {
-        error(d.loc, "variable '" + d.name + "' has array size 0");
+        error(d.loc,
+              "variable '" + std::string(d.name) + "' has array size 0");
         continue;
       }
       names_[d.name] = VarInfo{next, d.count};
-      next += d.count;
+      // Saturate rather than wrap, so huge sizes cannot sum back in range.
+      next = d.count > UINT64_MAX - next ? UINT64_MAX : next + d.count;
+      if (next > kMaxVars && !vars_limit_loc_) vars_limit_loc_ = d.loc;
     }
     nvars_ = next;
     if (nvars_ == 0) {
@@ -111,36 +132,53 @@ class Analyzer {
     }
   }
 
-  static bool opcode_like(const std::string& n) {
-    using pram::OpCode;
-    for (int i = 0; i <= static_cast<int>(OpCode::kGatherDyn); ++i)
-      if (n == pram::opcode_name(static_cast<OpCode>(i))) return true;
-    return false;
-  }
-
-  static bool reserved(const std::string& n) {
+  static bool reserved(std::string_view n) {
     return n == "pram" || n == "procs" || n == "vars" || n == "var" ||
            n == "segment" || n == "step";
   }
 
+  /// Report declarations whose tables would exceed kMaxTableBytes; false
+  /// stops the analysis before anything sized by them is allocated.
+  bool within_size_limits() {
+    bool ok = true;
+    if (nvars_ > kMaxVars) {
+      error(*vars_limit_loc_,
+            "program too large: " + std::to_string(nvars_) +
+                " variables exceed the compiler's limit of " +
+                std::to_string(kMaxVars));
+      ok = false;
+    }
+    const std::uint64_t nsteps = src_.steps.size();
+    if (nsteps != 0 && procs_ > kMaxSlots / nsteps) {
+      error(src_.procs ? src_.procs_loc : src_.name_loc,
+            "program too large: procs=" + std::to_string(procs_) + " x " +
+                std::to_string(nsteps) +
+                " steps exceeds the compiler's limit of " +
+                std::to_string(kMaxSlots) + " instruction slots");
+      ok = false;
+    }
+    return ok;
+  }
+
   void resolve_segments() {
     for (const SegDeclSrc& d : src_.seg_decls) {
+      const std::string name(d.name);
       if (segs_.count(d.name)) {
-        error(d.loc, "segment '" + d.name + "' already declared");
+        error(d.loc, "segment '" + name + "' already declared");
         continue;
       }
       const auto base = resolve_ref(d.base);
       if (!base) continue;
       if (d.len == 0) {
-        error(d.len_loc, "segment '" + d.name + "' has length 0");
+        error(d.len_loc, "segment '" + name + "' has length 0");
         continue;
       }
       if (d.len > kMaxVarId) {
-        error(d.len_loc, "segment '" + d.name + "' length overflows 32 bits");
+        error(d.len_loc, "segment '" + name + "' length overflows 32 bits");
         continue;
       }
       if (*base + d.len > nvars_) {
-        error(d.loc, "segment '" + d.name + "' [v" + std::to_string(*base) +
+        error(d.loc, "segment '" + name + "' [v" + std::to_string(*base) +
                          ", v" + std::to_string(*base + d.len) +
                          ") exceeds vars=" + std::to_string(nvars_));
         continue;
@@ -152,48 +190,52 @@ class Analyzer {
 
   /// Resolve a reference to a variable index, or nullopt after reporting.
   std::optional<std::uint64_t> resolve_ref(const Ref& r) {
+    // Declarations may not take the raw v<digits> form, so a raw ref is
+    // resolved from its spelling without consulting the name table.
+    if (is_raw_ref(r.name)) return resolve_raw(r);
     auto it = names_.find(r.name);
     if (it == names_.end()) {
-      if (!is_raw_ref(r.name)) {
-        error(r.loc, "undefined variable '" + r.name + "'");
-        return std::nullopt;
-      }
-      std::uint64_t raw = 0;
-      bool overflow = false;
-      for (std::size_t i = 1; i < r.name.size(); ++i) {
-        const std::uint64_t d = static_cast<std::uint64_t>(r.name[i] - '0');
-        if (raw > (UINT64_MAX - d) / 10) overflow = true;
-        if (!overflow) raw = raw * 10 + d;
-      }
-      if (r.has_subscript) {
-        error(r.loc, "raw variable reference '" + r.name +
-                         "' cannot take a subscript");
-        return std::nullopt;
-      }
-      if (overflow || raw > kMaxVarId) {
-        error(r.loc, "variable id '" + r.name + "' overflows 32 bits");
-        return std::nullopt;
-      }
-      if (raw >= nvars_) {
-        error(r.loc, "variable v" + std::to_string(raw) +
-                         " out of range (vars=" + std::to_string(nvars_) +
-                         ")");
-        return std::nullopt;
-      }
-      return raw;
+      error(r.loc, "undefined variable '" + std::string(r.name) + "'");
+      return std::nullopt;
     }
     const VarInfo& info = it->second;
     std::uint64_t idx = info.base;
     if (r.has_subscript) {
       if (r.subscript >= info.count) {
         error(r.loc, "subscript " + std::to_string(r.subscript) +
-                         " out of bounds for '" + r.name + "' (size " +
-                         std::to_string(info.count) + ")");
+                         " out of bounds for '" + std::string(r.name) +
+                         "' (size " + std::to_string(info.count) + ")");
         return std::nullopt;
       }
       idx += r.subscript;
     }
     return idx;
+  }
+
+  std::optional<std::uint64_t> resolve_raw(const Ref& r) {
+    std::uint64_t raw = 0;
+    bool overflow = false;
+    for (std::size_t i = 1; i < r.name.size(); ++i) {
+      const std::uint64_t d = static_cast<std::uint64_t>(r.name[i] - '0');
+      if (raw > (UINT64_MAX - d) / 10) overflow = true;
+      if (!overflow) raw = raw * 10 + d;
+    }
+    if (r.has_subscript) {
+      error(r.loc, "raw variable reference '" + std::string(r.name) +
+                       "' cannot take a subscript");
+      return std::nullopt;
+    }
+    if (overflow || raw > kMaxVarId) {
+      error(r.loc,
+            "variable id '" + std::string(r.name) + "' overflows 32 bits");
+      return std::nullopt;
+    }
+    if (raw >= nvars_) {
+      error(r.loc, "variable v" + std::to_string(raw) +
+                       " out of range (vars=" + std::to_string(nvars_) + ")");
+      return std::nullopt;
+    }
+    return raw;
   }
 
   // ---- codegen ---------------------------------------------------------
@@ -300,7 +342,7 @@ class Analyzer {
         auto it = segs_.find(lane.seg_name);
         if (it == segs_.end()) {
           error(lane.seg_loc,
-                "undefined segment '" + lane.seg_name + "'");
+                "undefined segment '" + std::string(lane.seg_name) + "'");
           return std::nullopt;
         }
         return Instr::gather_dyn(u32(*z), u32(*x), u32(*y), u32(*c),
@@ -319,11 +361,13 @@ class Analyzer {
 
   void check_erew(const std::vector<pram::Step>& steps) {
     std::vector<std::uint32_t> reads(nvars_, 0), writes(nvars_, 0);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
+    struct Write { std::uint32_t var; const LaneSrc* lane; };
+    std::vector<Write> written;
     for (std::size_t s = 0; s < steps.size(); ++s) {
       const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
-      struct Write { std::uint32_t var; const LaneSrc* lane; };
-      std::vector<Write> written;
+      step_segs.clear();
+      written.clear();
       for (std::size_t t = 0; t < steps[s].instrs.size(); ++t) {
         const pram::Instr& ins = steps[s].instrs[t];
         const LaneSrc* lane = placed_[s][t];
@@ -386,8 +430,9 @@ class Analyzer {
   std::vector<Diagnostic>& diags_;
   std::uint64_t procs_ = 0;
   std::uint64_t nvars_ = 0;
-  std::unordered_map<std::string, VarInfo> names_;
-  std::unordered_map<std::string, SegInfo> segs_;
+  std::unordered_map<std::string_view, VarInfo> names_;
+  std::unordered_map<std::string_view, SegInfo> segs_;
+  std::optional<Loc> vars_limit_loc_;  ///< Declaration crossing kMaxVars.
   std::vector<std::vector<const LaneSrc*>> placed_;  ///< [step][thread]
 };
 
@@ -395,10 +440,20 @@ class Analyzer {
 
 CompileResult compile_source(const SourceFile& src) {
   CompileResult result;
-  const std::vector<Token> toks = lex(src, result.diagnostics);
+  // The parser pulls tokens straight from the lexer.  Lexical errors take
+  // precedence, as if the whole file were lexed first: a syntax error
+  // counts only if the rest of the file lexes cleanly, and the kEnd a
+  // lexical error leaves behind never produces a syntax error of its own.
+  Lexer lexer(src, result.diagnostics);
+  std::vector<Diagnostic> syntax;
+  const auto tree = parse(lexer, syntax);
+  if (!tree) {
+    while (lexer.next().kind != TokKind::kEnd) {
+    }
+    if (result.diagnostics.empty()) result.diagnostics = std::move(syntax);
+    return result;
+  }
   if (!result.diagnostics.empty()) return result;
-  const auto tree = parse(toks, result.diagnostics);
-  if (!tree) return result;
   Analyzer analyzer(*tree, result.diagnostics);
   result.program = analyzer.run();
   return result;

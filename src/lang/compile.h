@@ -47,7 +47,10 @@ struct CompileResult {
   bool ok() const { return program.has_value(); }
 };
 
-/// Lex + parse + analyze + build in one call.
+/// Lex + parse + analyze + build in one call.  The parser pulls tokens
+/// from the lexer as it goes; the tokens and the source tree borrow `src`
+/// and die inside this call, so the result owns everything it holds and
+/// may outlive `src` (rendering its diagnostics needs `src` again).
 CompileResult compile_source(const SourceFile& src);
 
 /// Convenience: read `path` from disk and compile it.  A missing/unreadable

@@ -1,5 +1,8 @@
 #include "lang/lexer.h"
 
+#include <array>
+#include <string>
+
 namespace apex::lang {
 
 const char* tok_kind_name(TokKind k) noexcept {
@@ -20,96 +23,109 @@ const char* tok_kind_name(TokKind k) noexcept {
 
 namespace {
 
-bool is_ident_start(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+enum CharClass : std::uint8_t { kOther, kDigit, kIdentStart };
+
+constexpr std::array<std::uint8_t, 256> make_char_classes() {
+  std::array<std::uint8_t, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = kDigit;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kIdentStart;
+  t['_'] = kIdentStart;
+  return t;
 }
-bool is_ident_char(char c) {
-  return is_ident_start(c) || (c >= '0' && c <= '9');
+
+constexpr std::array<std::uint8_t, 256> kCharClass = make_char_classes();
+
+CharClass char_class(char c) {
+  return static_cast<CharClass>(kCharClass[static_cast<unsigned char>(c)]);
 }
-bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
-std::vector<Token> lex(const SourceFile& src,
-                       std::vector<Diagnostic>& diags) {
-  std::vector<Token> toks;
-  const std::string& s = src.text;
-  Loc loc;  // line 1, col 1, offset 0
-  auto advance = [&](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (s[loc.offset] == '\n') {
-        ++loc.line;
-        loc.col = 1;
-      } else {
-        ++loc.col;
-      }
-      ++loc.offset;
+Token Lexer::fail(std::size_t offset, std::string message) {
+  pos_ = offset;
+  stopped_ = true;
+  Token t;
+  t.loc = loc_at(offset);
+  diags_.push_back({t.loc, std::move(message)});
+  return t;
+}
+
+Token Lexer::next() {
+  const char* s = text_.data();
+  const std::size_t n = text_.size();
+  std::size_t i = pos_;
+  Token t;  // kEnd until classified
+  if (stopped_) {
+    t.loc = loc_at(i);
+    return t;
+  }
+  // Skip whitespace and comments; only a newline moves the line start.
+  while (i < n) {
+    const char c = s[i];
+    if (c == '\n') {
+      ++line_;
+      line_start_ = ++i;
+    } else if (c == ' ' || c == '\t' || c == '\r') {
+      ++i;
+    } else if (c == '#') {
+      while (i < n && s[i] != '\n') ++i;
+    } else {
+      break;
     }
-  };
-  while (loc.offset < s.size()) {
-    const char c = s[loc.offset];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
-      continue;
-    }
-    if (c == '#') {
-      while (loc.offset < s.size() && s[loc.offset] != '\n') advance(1);
-      continue;
-    }
-    const Loc start = loc;
-    if (is_ident_start(c)) {
-      std::size_t end = loc.offset;
-      while (end < s.size() && is_ident_char(s[end])) ++end;
-      Token t{TokKind::kIdent, start, s.substr(loc.offset, end - loc.offset)};
-      advance(end - loc.offset);
-      toks.push_back(std::move(t));
-      continue;
-    }
-    if (is_digit(c)) {
-      std::size_t end = loc.offset;
-      std::uint64_t v = 0;
+  }
+  t.loc = loc_at(i);
+  pos_ = i;
+  if (i == n) return t;  // kEnd
+  const char c = s[i];
+  std::size_t end = i + 1;
+  switch (char_class(c)) {
+    case kIdentStart:
+      while (end < n && char_class(s[end]) != kOther) ++end;
+      t.kind = TokKind::kIdent;
+      break;
+    case kDigit: {
+      std::uint64_t v = static_cast<std::uint64_t>(c - '0');
       bool overflow = false;
-      while (end < s.size() && is_digit(s[end])) {
+      for (; end < n && char_class(s[end]) == kDigit; ++end) {
         const std::uint64_t d = static_cast<std::uint64_t>(s[end] - '0');
         if (v > (UINT64_MAX - d) / 10) overflow = true;
         if (!overflow) v = v * 10 + d;
-        ++end;
       }
-      if (overflow) {
-        diags.push_back({start, "integer literal '" +
-                                    s.substr(loc.offset, end - loc.offset) +
-                                    "' does not fit in 64 bits"});
-        break;
+      if (overflow)
+        return fail(i, "integer literal '" +
+                           std::string(text_.substr(i, end - i)) +
+                           "' does not fit in 64 bits");
+      t.kind = TokKind::kInt;
+      t.value = v;
+      break;
+    }
+    case kOther:
+      switch (c) {
+        case '{': t.kind = TokKind::kLBrace; break;
+        case '}': t.kind = TokKind::kRBrace; break;
+        case '[': t.kind = TokKind::kLBracket; break;
+        case ']': t.kind = TokKind::kRBracket; break;
+        case ',': t.kind = TokKind::kComma; break;
+        case ':': t.kind = TokKind::kColon; break;
+        case '=': t.kind = TokKind::kEq; break;
+        default:
+          return fail(i, std::string("unexpected character '") + c + "'");
       }
-      Token t{TokKind::kInt, start,
-              s.substr(loc.offset, end - loc.offset), v};
-      advance(end - loc.offset);
-      toks.push_back(std::move(t));
-      continue;
-    }
-    TokKind k;
-    switch (c) {
-      case '{': k = TokKind::kLBrace; break;
-      case '}': k = TokKind::kRBrace; break;
-      case '[': k = TokKind::kLBracket; break;
-      case ']': k = TokKind::kRBracket; break;
-      case ',': k = TokKind::kComma; break;
-      case ':': k = TokKind::kColon; break;
-      case '=': k = TokKind::kEq; break;
-      default:
-        diags.push_back({start, std::string("unexpected character '") + c +
-                                    "'"});
-        Token end_tok;
-        end_tok.loc = loc;
-        toks.push_back(end_tok);
-        return toks;
-    }
-    toks.push_back({k, start, std::string(1, c)});
-    advance(1);
+      break;
   }
-  Token end_tok;
-  end_tok.loc = loc;
-  toks.push_back(end_tok);
+  t.text = text_.substr(i, end - i);
+  pos_ = end;
+  return t;
+}
+
+std::vector<Token> lex(const SourceFile& src,
+                       std::vector<Diagnostic>& diags) {
+  Lexer lexer(src, diags);
+  std::vector<Token> toks;
+  do {
+    toks.push_back(lexer.next());
+  } while (toks.back().kind != TokKind::kEnd);
   return toks;
 }
 

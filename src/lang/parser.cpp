@@ -1,34 +1,73 @@
 #include "lang/parser.h"
 
+#include <initializer_list>
+#include <string>
+
 namespace apex::lang {
+
+std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw) {
+  using pram::OpCode;
+  // Candidates by first letter, so a lookup compares at most three
+  // spellings; the spellings themselves stay those of pram::opcode_name.
+  auto pick = [kw](std::initializer_list<OpCode> ops)
+      -> std::optional<OpCode> {
+    for (OpCode op : ops)
+      if (kw == pram::opcode_name(op)) return op;
+    return std::nullopt;
+  };
+  switch (kw.empty() ? '\0' : kw[0]) {
+    case 'a': return pick({OpCode::kAdd, OpCode::kAnd});
+    case 'c': return pick({OpCode::kConst, OpCode::kCopy, OpCode::kCoin});
+    case 'e': return pick({OpCode::kEq});
+    case 'g': return pick({OpCode::kGather, OpCode::kGatherDyn});
+    case 'l': return pick({OpCode::kLess});
+    case 'm': return pick({OpCode::kMul, OpCode::kMin, OpCode::kMax});
+    case 'n': return pick({OpCode::kNop});
+    case 'o': return pick({OpCode::kOr});
+    case 'r': return pick({OpCode::kRandBelow});
+    case 's': return pick({OpCode::kSub, OpCode::kSelect});
+    case 'x': return pick({OpCode::kXor});
+    default: return std::nullopt;
+  }
+}
 
 namespace {
 
-/// Opcode keywords that introduce an instruction, in OpCode order; the
-/// spellings are exactly pram::opcode_name so emitted programs are
-/// self-describing.
-std::optional<pram::OpCode> opcode_from_keyword(const std::string& kw) {
-  using pram::OpCode;
-  static constexpr OpCode kAll[] = {
-      OpCode::kNop,    OpCode::kConst, OpCode::kCopy,      OpCode::kAdd,
-      OpCode::kSub,    OpCode::kMul,   OpCode::kMin,       OpCode::kMax,
-      OpCode::kXor,    OpCode::kAnd,   OpCode::kOr,        OpCode::kLess,
-      OpCode::kEq,     OpCode::kSelect, OpCode::kRandBelow, OpCode::kCoin,
-      OpCode::kGather, OpCode::kGatherDyn};
-  for (OpCode op : kAll)
-    if (kw == pram::opcode_name(op)) return op;
-  return std::nullopt;
-}
+/// One token of lookahead over a Lexer or over a token vector.
+class Cursor {
+ public:
+  explicit Cursor(Lexer& lexer) : lexer_(&lexer), cur_(lexer.next()) {}
+  explicit Cursor(const std::vector<Token>& toks) : toks_(&toks) {
+    if (!toks.empty()) cur_ = toks.front();
+  }
+
+  const Token& cur() const { return cur_; }
+
+  Token take() {
+    Token t = cur_;
+    if (lexer_ != nullptr)
+      cur_ = lexer_->next();
+    else if (pos_ + 1 < toks_->size())
+      cur_ = (*toks_)[++pos_];
+    return t;
+  }
+
+ private:
+  Lexer* lexer_ = nullptr;
+  const std::vector<Token>* toks_ = nullptr;
+  std::size_t pos_ = 0;
+  Token cur_;
+};
 
 class Parser {
  public:
-  Parser(const std::vector<Token>& toks, std::vector<Diagnostic>& diags)
-      : toks_(toks), diags_(diags) {}
+  Parser(Cursor cursor, std::vector<Diagnostic>& diags)
+      : in_(cursor), diags_(diags) {}
 
   std::optional<ProgramSrc> run() {
     ProgramSrc p;
     if (!expect_keyword("pram")) return std::nullopt;
-    const Token* name = expect(TokKind::kIdent, "program name");
+    const auto name = expect(TokKind::kIdent, "program name");
     if (!name) return std::nullopt;
     p.name = name->text;
     p.name_loc = name->loc;
@@ -39,21 +78,21 @@ class Parser {
   }
 
  private:
-  const Token& cur() const { return toks_[pos_]; }
+  const Token& cur() const { return in_.cur(); }
   bool at(TokKind k) const { return cur().kind == k; }
-  const Token& take() { return toks_[pos_++]; }
+  Token take() { return in_.take(); }
 
   void error_here(const std::string& msg) {
     diags_.push_back({cur().loc, msg});
   }
 
-  const Token* expect(TokKind k, const char* what) {
+  std::optional<Token> expect(TokKind k, const char* what) {
     if (!at(k)) {
       error_here(std::string("expected ") + what + ", found " +
                  describe(cur()));
-      return nullptr;
+      return std::nullopt;
     }
-    return &take();
+    return take();
   }
 
   bool expect_keyword(const char* kw) {
@@ -68,8 +107,14 @@ class Parser {
 
   static std::string describe(const Token& t) {
     switch (t.kind) {
-      case TokKind::kIdent: return "'" + t.text + "'";
-      case TokKind::kInt: return "'" + t.text + "'";
+      case TokKind::kIdent:
+      case TokKind::kInt: {
+        // Appended in place: "'" + std::string(...) trips a false GCC 12
+        // -Wrestrict warning.
+        std::string q(1, '\'');
+        q.append(t.text).push_back('\'');
+        return q;
+      }
       case TokKind::kEnd: return "end of input";
       default: return tok_kind_name(t.kind);
     }
@@ -80,29 +125,29 @@ class Parser {
       error_here("expected a declaration or 'step', found " + describe(cur()));
       return false;
     }
-    const std::string& kw = cur().text;
+    const std::string_view kw = cur().text;
     if (kw == "procs") {
       p.procs_loc = take().loc;
-      const Token* n = expect(TokKind::kInt, "processor count");
+      const auto n = expect(TokKind::kInt, "processor count");
       if (!n) return false;
       p.procs = n->value;
       return true;
     }
     if (kw == "vars") {
       p.vars_loc = take().loc;
-      const Token* n = expect(TokKind::kInt, "variable count");
+      const auto n = expect(TokKind::kInt, "variable count");
       if (!n) return false;
       p.vars = n->value;
       return true;
     }
     if (kw == "var") {
       take();
-      const Token* name = expect(TokKind::kIdent, "variable name");
+      const auto name = expect(TokKind::kIdent, "variable name");
       if (!name) return false;
       VarDeclSrc d{name->loc, name->text, 1};
       if (at(TokKind::kLBracket)) {
         take();
-        const Token* cnt = expect(TokKind::kInt, "array size");
+        const auto cnt = expect(TokKind::kInt, "array size");
         if (!cnt) return false;
         d.count = cnt->value;
         if (!expect(TokKind::kRBracket, "']'")) return false;
@@ -112,7 +157,7 @@ class Parser {
     }
     if (kw == "segment") {
       take();
-      const Token* name = expect(TokKind::kIdent, "segment name");
+      const auto name = expect(TokKind::kIdent, "segment name");
       if (!name) return false;
       SegDeclSrc d;
       d.loc = name->loc;
@@ -120,7 +165,7 @@ class Parser {
       if (!expect(TokKind::kEq, "'='")) return false;
       if (!parse_ref(d.base)) return false;
       if (!expect(TokKind::kColon, "':'")) return false;
-      const Token* len = expect(TokKind::kInt, "segment length");
+      const auto len = expect(TokKind::kInt, "segment length");
       if (!len) return false;
       d.len = len->value;
       d.len_loc = len->loc;
@@ -145,7 +190,7 @@ class Parser {
   }
 
   bool parse_lane(LaneSrc& lane) {
-    const Token* t = expect(TokKind::kInt, "lane index");
+    const auto t = expect(TokKind::kInt, "lane index");
     if (!t) return false;
     lane.lane = t->value;
     lane.lane_loc = t->loc;
@@ -154,11 +199,11 @@ class Parser {
       error_here("expected an instruction, found " + describe(cur()));
       return false;
     }
-    const Token& op_tok = take();
+    const Token op_tok = take();
     const auto op = opcode_from_keyword(op_tok.text);
     if (!op) {
-      diags_.push_back({op_tok.loc,
-                        "unknown instruction '" + op_tok.text + "'"});
+      diags_.push_back({op_tok.loc, "unknown instruction '" +
+                                        std::string(op_tok.text) + "'"});
       return false;
     }
     lane.op = *op;
@@ -184,7 +229,7 @@ class Parser {
         if (!(parse_ref(lane.z) && comma() && parse_ref(lane.x) && comma() &&
               parse_ref(lane.y) && comma() && parse_ref(lane.c) && comma()))
           return false;
-        const Token* seg = expect(TokKind::kIdent, "segment name");
+        const auto seg = expect(TokKind::kIdent, "segment name");
         if (!seg) return false;
         lane.seg_name = seg->text;
         lane.seg_loc = seg->loc;
@@ -196,10 +241,10 @@ class Parser {
     }
   }
 
-  bool comma() { return expect(TokKind::kComma, "','") != nullptr; }
+  bool comma() { return expect(TokKind::kComma, "','").has_value(); }
 
   bool parse_imm(LaneSrc& lane) {
-    const Token* t = expect(TokKind::kInt, "an integer immediate");
+    const auto t = expect(TokKind::kInt, "an integer immediate");
     if (!t) return false;
     lane.imm = t->value;
     lane.imm_loc = t->loc;
@@ -207,13 +252,13 @@ class Parser {
   }
 
   bool parse_ref(Ref& r) {
-    const Token* name = expect(TokKind::kIdent, "a variable reference");
+    const auto name = expect(TokKind::kIdent, "a variable reference");
     if (!name) return false;
     r.loc = name->loc;
     r.name = name->text;
     if (at(TokKind::kLBracket)) {
       take();
-      const Token* idx = expect(TokKind::kInt, "a subscript");
+      const auto idx = expect(TokKind::kInt, "a subscript");
       if (!idx) return false;
       r.has_subscript = true;
       r.subscript = idx->value;
@@ -222,16 +267,19 @@ class Parser {
     return true;
   }
 
-  const std::vector<Token>& toks_;
+  Cursor in_;
   std::vector<Diagnostic>& diags_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace
 
+std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags) {
+  return Parser(Cursor(lexer), diags).run();
+}
+
 std::optional<ProgramSrc> parse(const std::vector<Token>& toks,
                                 std::vector<Diagnostic>& diags) {
-  return Parser(toks, diags).run();
+  return Parser(Cursor(toks), diags).run();
 }
 
 }  // namespace apex::lang

@@ -30,12 +30,18 @@
 // names may not collide with keywords or the raw `v<digits>` pattern.
 //
 // The parser produces a faithful source-level tree (every operand keeps
-// its Loc); all semantic rules live in compile.h.
+// its Loc); all semantic rules live in compile.h.  It reads tokens through
+// a cursor with one token of lookahead, either straight from a Lexer (the
+// streaming path compile_source takes) or from a token vector.
+//
+// LIFETIME: every name in a ProgramSrc (program, declarations, refs,
+// segment uses) is a view into the SourceFile it was parsed from, which
+// must outlive the tree.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "lang/lexer.h"
@@ -47,7 +53,7 @@ namespace apex::lang {
 /// A variable reference as written: name plus optional [index] subscript.
 struct Ref {
   Loc loc;
-  std::string name;
+  std::string_view name;     ///< Borrowed from the SourceFile.
   bool has_subscript = false;
   std::uint64_t subscript = 0;
 };
@@ -61,7 +67,7 @@ struct LaneSrc {
   Ref z, x, y, c;            ///< Used according to the op's arity.
   std::uint64_t imm = 0;     ///< const/rand_below/coin imm, gather window len.
   Loc imm_loc;
-  std::string seg_name;      ///< gather_dyn segment reference.
+  std::string_view seg_name; ///< gather_dyn segment reference.
   Loc seg_loc;
 };
 
@@ -72,20 +78,20 @@ struct StepSrc {
 
 struct VarDeclSrc {
   Loc loc;
-  std::string name;
+  std::string_view name;
   std::uint64_t count = 1;   ///< Array size (1 for scalars).
 };
 
 struct SegDeclSrc {
   Loc loc;
-  std::string name;
+  std::string_view name;
   Ref base;
   std::uint64_t len = 0;
   Loc len_loc;
 };
 
 struct ProgramSrc {
-  std::string name;
+  std::string_view name;
   Loc name_loc;
   std::optional<std::uint64_t> procs;
   Loc procs_loc;
@@ -96,10 +102,19 @@ struct ProgramSrc {
   std::vector<StepSrc> steps;
 };
 
-/// Parse the token stream.  Returns nullopt when a parse error was
-/// appended to `diags` (parsing stops at the first syntax error; semantic
-/// errors are batched later by the compiler).
+/// Parse the tokens `lexer` hands out.  Returns nullopt when a parse
+/// error was appended to `diags` (parsing stops at the first syntax error;
+/// semantic errors are batched later by the compiler).  A lexical error
+/// ends the stream early: the parser then sees kEnd, so the caller checks
+/// the lexer's diagnostics too (compile_source does).
+std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags);
+
+/// The same parser over a token vector ending in kEnd (as `lex` returns).
 std::optional<ProgramSrc> parse(const std::vector<Token>& toks,
                                 std::vector<Diagnostic>& diags);
+
+/// The opcode an instruction keyword names (spellings are exactly
+/// pram::opcode_name), or nullopt.
+std::optional<pram::OpCode> opcode_from_keyword(std::string_view kw);
 
 }  // namespace apex::lang

@@ -81,6 +81,18 @@ TEST(Compile, CompiledProgramRunsInInterpreter) {
   EXPECT_EQ(res.memory[3], 2u);
 }
 
+TEST(Parse, KeywordsMapToOpcodes) {
+  for (int i = 0; i <= static_cast<int>(pram::OpCode::kGatherDyn); ++i) {
+    const auto op = static_cast<pram::OpCode>(i);
+    EXPECT_EQ(opcode_from_keyword(pram::opcode_name(op)), op)
+        << pram::opcode_name(op);
+  }
+  EXPECT_EQ(opcode_from_keyword(""), std::nullopt);
+  EXPECT_EQ(opcode_from_keyword("copyx"), std::nullopt);
+  EXPECT_EQ(opcode_from_keyword("gather_dy"), std::nullopt);
+  EXPECT_EQ(opcode_from_keyword("Add"), std::nullopt);
+}
+
 // ---- semantic diagnostics (messages; caret goldens in diagnostics_test) ----
 
 TEST(Compile, UndefinedVariable) {
@@ -183,6 +195,87 @@ TEST(Compile, MultipleDiagnosticsAreBatched) {
                               "step {\n  0: add v0, alpha, beta\n}\n");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.diagnostics.size(), 2u);
+}
+
+// ---- lexical errors: exactly the one lexer diagnostic --------------------
+
+void expect_only_lexical(const CompileResult& r, std::size_t line,
+                         std::size_t col, const std::string& message) {
+  ASSERT_FALSE(r.ok());
+  ASSERT_EQ(r.diagnostics.size(), 1u) << r.diagnostics.back().message;
+  EXPECT_EQ(r.diagnostics[0].message, message);
+  EXPECT_EQ(r.diagnostics[0].loc.line, line);
+  EXPECT_EQ(r.diagnostics[0].loc.col, col);
+}
+
+TEST(Compile, StrayCharacterIsTheOnlyDiagnostic) {
+  // Mid-instruction: the parser is left expecting an operand.
+  expect_only_lexical(compile_text("pram p\nprocs 1\nvars 1\n"
+                                   "step {\n  0: copy v0, @v0\n}\n"),
+                      5, 15, "unexpected character '@'");
+  // Between items: what precedes it parses as a complete program.
+  expect_only_lexical(compile_text("pram p\nprocs 1\nvars 1\n$"), 4, 1,
+                      "unexpected character '$'");
+  // After a syntax error: the lexical error still wins.
+  expect_only_lexical(compile_text("pram p\nbogus 1\n  ; x"), 3, 3,
+                      "unexpected character ';'");
+}
+
+TEST(Compile, OverflowingLiteralIsTheOnlyDiagnostic) {
+  expect_only_lexical(
+      compile_text("pram p\nprocs 18446744073709551616\nvars 1\n"),
+      2, 7,
+      "integer literal '18446744073709551616' does not fit in 64 bits");
+  expect_only_lexical(
+      compile_text("pram p\nprocs 1\nvars 1\n"
+                   "step {\n  0: const v0, 99999999999999999999\n}\n"),
+      5, 16,
+      "integer literal '99999999999999999999' does not fit in 64 bits");
+}
+
+TEST(Compile, SyntaxErrorWithoutLexicalError) {
+  const auto r = compile_text("pram p\nbogus 1\n");
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(r.diagnostics[0].message,
+            "expected a declaration or 'step', found 'bogus'");
+  const auto end =
+      compile_text("pram p\nprocs 1\nvars 1\nstep {\n  0: copy v0,");
+  ASSERT_EQ(end.diagnostics.size(), 1u);
+  EXPECT_EQ(end.diagnostics[0].message,
+            "expected a variable reference, found end of input");
+}
+
+// ---- size limits: checked before the analysis allocates ------------------
+
+TEST(Compile, OversizedDeclarationsAreDiagnosed) {
+  const auto vars = compile_text("pram p\nprocs 1\nvars 4000000000\n"
+                                 "step {\n  0: const v0, 1\n}\n");
+  ASSERT_EQ(vars.diagnostics.size(), 1u);
+  EXPECT_EQ(vars.diagnostics[0].loc.line, 3u);
+  EXPECT_NE(first_message(vars).find("program too large"), std::string::npos);
+  const auto array = compile_text("pram p\nprocs 1\nvars 1\n"
+                                  "var x[3000000000]\n"
+                                  "step {\n  0: const v0, 1\n}\n");
+  ASSERT_EQ(array.diagnostics.size(), 1u);
+  EXPECT_EQ(array.diagnostics[0].loc.line, 4u);
+  const auto slots = compile_text("pram p\nprocs 50000000\nvars 1\n"
+                                  "step {\n  0: const v0, 1\n}\nstep {\n}\n");
+  ASSERT_EQ(slots.diagnostics.size(), 1u);
+  EXPECT_EQ(slots.diagnostics[0].loc.line, 2u);
+  EXPECT_NE(first_message(slots).find("instruction slots"),
+            std::string::npos);
+  // Wide but short programs stay legal: the limit is on procs x steps.
+  const auto wide = compile_text("pram p\nprocs 1000000\nvars 1\n"
+                                 "step {\n  0: const v0, 1\n}\n");
+  EXPECT_TRUE(wide.ok()) << first_message(wide);
+}
+
+TEST(Compile, DeclaredSizesSaturateInsteadOfWrapping) {
+  // 2^64 - 1 + 1 variables would wrap to 0 without saturation.
+  const auto r = compile_text("pram p\nprocs 1\nvars 18446744073709551615\n"
+                              "var a\nstep {\n  0: nop\n}\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(first_message(r).find("variable id overflow"), std::string::npos);
 }
 
 TEST(CompileFile, MissingFileIsADiagnosticNotAThrow) {

@@ -42,5 +42,11 @@ TEST(DiagnosticsGolden, SameStepSegmentWrite) { check_case("segment_write"); }
 TEST(DiagnosticsGolden, UndefinedVariable) { check_case("undefined_var"); }
 TEST(DiagnosticsGolden, VariableIdOverflow) { check_case("id_overflow"); }
 
+// Size limits: each case would abort with std::bad_alloc if the analysis
+// allocated before checking.
+TEST(DiagnosticsGolden, TooManyVariables) { check_case("size_vars"); }
+TEST(DiagnosticsGolden, ArrayPastVariableLimit) { check_case("size_array"); }
+TEST(DiagnosticsGolden, TooManyInstructionSlots) { check_case("size_procs"); }
+
 }  // namespace
 }  // namespace apex::lang
