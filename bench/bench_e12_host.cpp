@@ -6,11 +6,13 @@
 // (value, stamp) packed into one atomic 64-bit word to honor the paper's
 // word+timestamp atomic-access postulate.
 //
-// Measurement: for thread counts {2, 4, 8}, run the host protocol until
-// the Theorem-1 scannable properties hold for a live phase; report the
-// observed phase, agreement throughput (cycles/s), and work.  Every
-// configuration must reach agreement — including oversubscribed ones
-// (more threads than cores), which maximize preemption asynchrony.
+// Measurement: for P = T in {2, 4, 8}, run single-shot bin-array
+// agreement — a one-step program where processor i draws rand_below(1000)
+// into variable i, i.e. one Compute subphase of the execution scheme — on
+// the host executor, one OS thread per processor.  Report work and wall
+// time.  Every configuration must come back audit-clean with each agreed
+// value in its support, including the oversubscribed one (more threads
+// than cores), which maximizes preemption asynchrony.
 //
 // Second table: the FULL execution scheme on real threads, regular vs
 // irregular kernels.  For each thread count, a regular lockstep kernel
@@ -18,7 +20,7 @@
 // plus spmv's computed-index gathers at n=8) run through HostExecutor;
 // every run must pass the workload's final-memory verdict (audit-clean
 // runs only; lost_commits, the detected ultra-preemption damage, is
-// reported and retried — see host_executor.h).
+// reported and retried by host::run_until_clean — see host_executor.h).
 //
 // Third table: the SCALING STUDY the virtualized executor exists for.
 // P logical processors (up to the registry's scale_ns instances, 64/128)
@@ -37,22 +39,65 @@
 //
 // Fifth: the virtualization dividend — the same workload at the same
 // protocol parameters (alpha = 4096), one-thread-per-processor (the
-// pre-virtualization shape, T = P) vs T = hardware threads; the wall-clock
-// ratio is printed (informational: absolute timing is machine-dependent).
+// pre-virtualization shape, T = P set explicitly) vs T = hardware threads;
+// the wall-clock ratio is printed (informational: absolute timing is
+// machine-dependent).
 //
 // Note on --jobs: each trial already spawns its own thread team, and the
 // wall-clock/throughput columns are timing measurements, so running trials
 // concurrently oversubscribes the machine and perturbs them.  Leave
 // --jobs=1 (the default) when the absolute numbers matter.
+#include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "bench/common.h"
-#include "host/host_agreement.h"
 #include "host/host_executor.h"
 #include "pram/workloads.h"
 
 using namespace apex;
 using namespace apex::host;
+
+namespace {
+
+/// One host trial: run `p` until audit-clean (host::run_until_clean) and
+/// judge the final memory with `check` ("" = pass).  Counts "damaged" and
+/// "repaired" runs; an audit-clean, passing run counts "ok" and samples
+/// work, wall (ms) and Mwork/s.
+batch::TrialResult host_trial(
+    const pram::Program& p, const HostExecConfig& cfg, std::size_t attempts,
+    const std::function<std::string(const std::vector<pram::Word>&)>& check) {
+  batch::TrialResult r;
+  const CleanRun run = run_until_clean(p, cfg, attempts);
+  const HostExecResult& res = run.result;
+  if (run.damaged_runs != 0)
+    r.count("damaged", static_cast<double>(run.damaged_runs));
+  if (run.repaired_commits != 0)
+    r.count("repaired", static_cast<double>(run.repaired_commits));
+  if (!res.completed || res.lost_commits != 0 || !check(res.memory).empty()) {
+    r.ok = false;
+    return r;
+  }
+  r.count("ok");
+  r.sample("work", static_cast<double>(res.total_work));
+  r.sample("wall", res.wall_seconds * 1000.0);
+  r.sample("wps", static_cast<double>(res.total_work) /
+                      std::max(res.wall_seconds, 1e-9) / 1e6);
+  return r;
+}
+
+/// host_trial against a registry workload's own final-memory verdict.
+batch::TrialResult workload_trial(const char* workload, std::size_t n,
+                                  const HostExecConfig& cfg,
+                                  std::size_t attempts) {
+  const auto* spec = pram::find_workload(workload);
+  return host_trial(spec->make(n), cfg, attempts,
+                    [&](const std::vector<pram::Word>& mem) {
+                      return spec->check(n, mem);
+                    });
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = bench::Options::parse(argc, argv);
@@ -60,53 +105,44 @@ int main(int argc, char** argv) {
                 "the protocol must reach a unanimous, accessible bin array "
                 "under genuine OS-scheduler asynchrony, at every thread count");
 
-  const std::vector<std::size_t> thread_counts = {2, 4, 8};
+  // ---- single-shot agreement: P = T, one thread per processor -------------
+
+  const std::vector<std::size_t> proc_counts = {2, 4, 8};
   const int reps = opt.full ? 3 * opt.seeds : opt.seeds;
+  constexpr pram::Word kSupport = 1000;
 
   const auto groups =
-      opt.sweep(thread_counts, reps, [](std::size_t threads, int s) {
-        batch::TrialResult r;
-        HostConfig cfg;
-        cfg.nthreads = threads;
-        cfg.seed = 12'000 + static_cast<std::uint64_t>(s);
-        HostAgreement ha(cfg, [](std::size_t i, apex::Rng& rng) {
-          return 1000 * i + rng.below(1000);
+      opt.sweep(proc_counts, reps, [](std::size_t procs, int s) {
+        pram::ProgramBuilder b(procs, procs);
+        b.step().all([](std::size_t i) {
+          return pram::Instr::rand_below(static_cast<std::uint32_t>(i),
+                                         kSupport);
         });
-        const auto res = ha.run(20.0);
-        if (!res.satisfied) {
-          r.ok = false;
-          return r;
-        }
-        r.count("sat");
-        // Sanity: agreed values must be in bin i's support.
-        for (std::size_t i = 0; i < threads; ++i)
-          if (res.values[i] / 1000 != i) r.ok = false;
-        r.sample("phase", static_cast<double>(res.phase));
-        r.sample("cps",
-                 static_cast<double>(res.cycles) / res.wall_seconds / 1e6);
-        r.sample("work", static_cast<double>(res.total_work));
-        r.sample("wall", res.wall_seconds * 1000.0);
-        return r;
+        HostExecConfig cfg;
+        cfg.seed = 12'000 + static_cast<std::uint64_t>(s);
+        cfg.os_threads = procs;  // T = P: oversubscribed at 8
+        cfg.timeout_seconds = 20.0;
+        return host_trial(b.build(), cfg, 3,
+                          [](const std::vector<pram::Word>& mem) {
+                            for (const pram::Word v : mem)
+                              if (v >= kSupport) return std::string("support");
+                            return std::string();
+                          });
       });
 
-  Table t({"threads", "runs", "satisfied", "phase_mean", "Mcycles/s",
-           "work_mean", "wall_ms_mean"});
+  Table t({"P=T", "runs", "satisfied", "work_mean", "wall_ms_mean"});
   bool all_ok = true;
 
-  for (std::size_t g = 0; g < thread_counts.size(); ++g) {
+  for (std::size_t g = 0; g < proc_counts.size(); ++g) {
     const auto& group = groups[g];
     if (!group.all_ok()) all_ok = false;
-    const int runs = static_cast<int>(group.trials());
-    const int sat = static_cast<int>(group.count("sat"));
+    const int sat = static_cast<int>(group.count("ok"));
     t.row()
-        .cell(static_cast<std::uint64_t>(thread_counts[g]))
-        .cell(runs)
+        .cell(static_cast<std::uint64_t>(proc_counts[g]))
+        .cell(static_cast<std::uint64_t>(group.trials()))
         .cell(sat)
-        .cell(sat ? group.sample("phase").mean() : 0.0, 1)
-        .cell(sat ? group.sample("cps").mean() : 0.0, 2)
         .cell(sat ? group.sample("work").mean() : 0.0, 0)
         .cell(sat ? group.sample("wall").mean() : 0.0, 2);
-    if (sat != runs) all_ok = false;
   }
   opt.emit(t);
 
@@ -121,40 +157,10 @@ int main(int argc, char** argv) {
 
   const auto wl_groups = opt.sweep(wl_grid, opt.seeds, [](const WlPoint& pt,
                                                           int s) {
-    batch::TrialResult r;
-    const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.n);
     HostExecConfig cfg;
     cfg.seed = 12'500 + static_cast<std::uint64_t>(s);
     cfg.timeout_seconds = 60.0;
-    // Retry detected preemption damage (rare, oversubscription-dependent);
-    // only audit-clean runs count toward the verdict columns.
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.n, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("work", static_cast<double>(res.total_work));
-      r.sample("wall", res.wall_seconds * 1000.0);
-      r.sample("wps", static_cast<double>(res.total_work) /
-                          std::max(res.wall_seconds, 1e-9) / 1e6);
-      return r;
-    }
-    r.ok = false;  // damaged on every attempt
-    return r;
+    return workload_trial(pt.workload, pt.n, cfg, 3);
   });
 
   Table wt({"kernel", "class", "n", "runs", "ok", "damaged", "work_mean",
@@ -208,9 +214,6 @@ int main(int argc, char** argv) {
 
   const auto sgroups = opt.sweep(sgrid, opt.seeds, [](const ScalePoint& pt,
                                                       int s) {
-    batch::TrialResult r;
-    const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.P);
     HostExecConfig cfg;
     cfg.seed = 12'800 + static_cast<std::uint64_t>(s);
     cfg.os_threads = pt.T;
@@ -218,34 +221,7 @@ int main(int argc, char** argv) {
     cfg.seq_cst = pt.seq_cst;
     cfg.clock_alpha = 48.0;  // virtualized: phases need not outlast OS slices
     cfg.timeout_seconds = 120.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.repaired_commits != 0)
-        r.count("repaired", static_cast<double>(res.repaired_commits));
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.P, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("work", static_cast<double>(res.total_work));
-      r.sample("wall", res.wall_seconds * 1000.0);
-      r.sample("wps", static_cast<double>(res.total_work) /
-                          std::max(res.wall_seconds, 1e-9) / 1e6);
-      return r;
-    }
-    r.ok = false;  // damaged on every attempt
-    return r;
+    return workload_trial(pt.workload, pt.P, cfg, 3);
   });
 
   Table st({"kernel", "P", "T", "policy", "order", "runs", "ok", "damaged",
@@ -293,45 +269,15 @@ int main(int argc, char** argv) {
   }
   const auto ggroups = opt.sweep(ggrid, opt.seeds, [](const GraphPoint& pt,
                                                       int s) {
-    batch::TrialResult r;
-    const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.n);
     HostExecConfig cfg;
     cfg.seed = 13'000 + static_cast<std::uint64_t>(s);
     cfg.os_threads = 2;
     cfg.clock_alpha = 32.0;
     cfg.generations = 6;
     cfg.interleave = Interleave::kPartition;
-    cfg.proc_weights = spec->proc_weights(pt.n);
+    cfg.proc_weights = pram::find_workload(pt.workload)->proc_weights(pt.n);
     cfg.timeout_seconds = pt.n > 10'000 ? 1200.0 : 600.0;
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.repaired_commits != 0)
-        r.count("repaired", static_cast<double>(res.repaired_commits));
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.n, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("work", static_cast<double>(res.total_work));
-      r.sample("wall", res.wall_seconds * 1000.0);
-      r.sample("wps", static_cast<double>(res.total_work) /
-                          std::max(res.wall_seconds, 1e-9) / 1e6);
-      return r;
-    }
-    r.ok = false;  // damaged on every attempt
-    return r;
+    return workload_trial(pt.workload, pt.n, cfg, 4);
   });
 
   Table gt({"kernel", "n", "P", "T", "policy", "runs", "ok", "damaged",
@@ -367,49 +313,24 @@ int main(int argc, char** argv) {
   struct DivPoint {
     const char* workload;
     std::size_t n;
-    std::size_t T;  ///< 0 = one thread per processor (legacy shape).
+    std::size_t T;  ///< n = one thread per processor (legacy shape).
   };
   std::vector<DivPoint> dgrid;
   for (const char* wlname : {"prefix", "dag"}) {
-    dgrid.push_back({wlname, 8, 0});
+    dgrid.push_back({wlname, 8, 8});
     dgrid.push_back({wlname, 8, std::min<std::size_t>(hw, 8)});
   }
   const auto dgroups = opt.sweep(dgrid, opt.seeds, [](const DivPoint& pt,
                                                       int s) {
-    batch::TrialResult r;
-    const auto* spec = pram::find_workload(pt.workload);
-    const pram::Program p = spec->make(pt.n);
     HostExecConfig cfg;
     cfg.seed = 12'900 + static_cast<std::uint64_t>(s);
     cfg.os_threads = pt.T;
     // Virtualized side runs the throughput policy (block keeps a
     // processor's state register-resident); legacy T=P has one processor
     // per thread, for which the policy is a no-op distinction.
-    if (pt.T != 0) cfg.interleave = Interleave::kBlock;
+    if (pt.T != pt.n) cfg.interleave = Interleave::kBlock;
     cfg.timeout_seconds = 120.0;  // default alpha: the legacy operating point
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      if (!res.completed) {
-        r.ok = false;
-        return r;
-      }
-      if (res.lost_commits != 0) {
-        r.count("damaged");
-        cfg.seed += 1000;
-        continue;
-      }
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      if (!spec->check(pt.n, mem).empty()) {
-        r.ok = false;
-        return r;
-      }
-      r.count("ok");
-      r.sample("wall", res.wall_seconds * 1000.0);
-      return r;
-    }
-    r.ok = false;
-    return r;
+    return workload_trial(pt.workload, pt.n, cfg, 3);
   });
 
   std::printf("\nvirtualization dividend (same kernel, same alpha=4096; "

@@ -39,7 +39,6 @@
 #include "consensus/scan_consensus.h" // IWYU pragma: export
 #include "core/version.h"             // IWYU pragma: export
 #include "exec/executor.h"            // IWYU pragma: export
-#include "host/host_agreement.h"      // IWYU pragma: export
 #include "host/host_executor.h"       // IWYU pragma: export
 #include "host/host_memory.h"         // IWYU pragma: export
 #include "pram/interp.h"              // IWYU pragma: export

@@ -17,12 +17,13 @@ namespace {
 /// protocol state, so it stays an oblivious adversary by construction.
 constexpr std::uint64_t kInterleaveTag = 0x17E21EAFULL;
 
-std::size_t clamp_threads(std::size_t os_threads, std::size_t nprocs) {
-  if (os_threads == 0) return nprocs;          // legacy: one thread per proc
-  return std::min(std::max<std::size_t>(1, os_threads), nprocs);
-}
-
 }  // namespace
+
+std::size_t resolve_os_threads(std::size_t os_threads, std::size_t nprocs) {
+  if (os_threads == 0)
+    os_threads = static_cast<std::size_t>(std::thread::hardware_concurrency());
+  return std::max<std::size_t>(1, std::min(os_threads, nprocs));
+}
 
 const char* interleave_name(Interleave p) noexcept {
   switch (p) {
@@ -47,7 +48,7 @@ HostExecutor::HostExecutor(const pram::Program& program, HostExecConfig cfg)
     : prog_(&program),
       cfg_(cfg),
       n_(program.nthreads()),
-      nthreads_(clamp_threads(cfg.os_threads, program.nthreads())),
+      nthreads_(resolve_os_threads(cfg.os_threads, program.nthreads())),
       b_(std::max<std::size_t>(4, cfg.beta * lg(program.nthreads()))),
       clock_base_(0),
       bins_base_(n_),
@@ -604,6 +605,20 @@ HostExecResult HostExecutor::run() {
       }
     }
     out.memory[v] = best_value;
+  }
+  return out;
+}
+
+CleanRun run_until_clean(const pram::Program& program, HostExecConfig cfg,
+                         std::size_t attempts) {
+  CleanRun out;
+  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
+    out.result = HostExecutor(program, cfg).run();
+    out.lost_commits += out.result.lost_commits;
+    out.repaired_commits += out.result.repaired_commits;
+    if (!out.result.completed || out.result.lost_commits == 0) break;
+    ++out.damaged_runs;
+    cfg.seed += 1000;
   }
   return out;
 }

@@ -19,9 +19,10 @@
 // stalls every processor of a slice in lockstep — a LEGAL oblivious
 // adversary (the OS and the policy never see the protocol's coins), and a
 // strictly more asynchronous one than one-thread-per-processor, since a
-// single preemption now stalls P/T processors at once.  T = P (os_threads
-// = 0, the default) reproduces the original one-std::thread-per-processor
-// executor; T = 1 is a fully deterministic sequential interleaving.
+// single preemption now stalls P/T processors at once.  By default
+// (os_threads = 0) T is the hardware thread count, clamped to P; setting
+// os_threads = P gives one std::thread per processor, and T = 1 is a fully
+// deterministic sequential interleaving.
 //
 // What this validates: the w.h.p. guarantees of the scheme carry from the
 // oblivious-adversary model to genuine preemption — and now to instance
@@ -46,7 +47,7 @@
 // accept only exact stamps, and the value stored under a given stamp is
 // always that step's unique agreed value, even when the store itself was
 // tardy.  Non-zero lost_commits means the memory must not be trusted and
-// the caller should re-run.
+// the caller should re-run: run_until_clean() below is that retry policy.
 //
 // Limits vs the simulator executor: program values must fit in 40 bits
 // (host Pack width), and there is no produced-trace monitor — tests verify
@@ -84,6 +85,10 @@ enum class Interleave : std::uint8_t {
                 ///< fixed before the run.
 };
 
+/// The worker-thread count T a run uses for a requested os_threads value
+/// and P logical processors: 0 = one per hardware thread; always in [1, P].
+std::size_t resolve_os_threads(std::size_t os_threads, std::size_t nprocs);
+
 const char* interleave_name(Interleave p) noexcept;
 /// Parse "rr"/"round_robin", "random", "block", "partition"; returns false
 /// on junk.
@@ -92,18 +97,20 @@ bool parse_interleave(const std::string& s, Interleave& out) noexcept;
 struct HostExecConfig {
   std::size_t generations = 4;  ///< G generation slots per program variable.
   std::size_t beta = 8;         ///< Bin sizing.
-  double clock_alpha = 4096.0;  ///< Updates per tick (see HostConfig note).
-                                ///< Virtualized configs (small T) tolerate
-                                ///< far smaller alpha (e.g. 48): intra-slice
-                                ///< skew is policy-bounded, so phases no
-                                ///< longer need to outlast OS timeslices.
+  /// Clock updates per tick = alpha * P.  As in the simulator, alpha must
+  /// comfortably exceed beta so every bin fills early in its phase.  On
+  /// real threads it also sets a phase's wall-clock length: with T = P a
+  /// phase must outlast OS timeslices (hence 4096), while small-T configs
+  /// tolerate far smaller alpha (e.g. 48) because intra-slice skew is
+  /// bounded by the interleave policy.
+  double clock_alpha = 4096.0;
   std::uint64_t seed = 1;
   double timeout_seconds = 60.0;
 
   // --- virtualization -------------------------------------------------------
-  /// T = number of OS worker threads.  0 = one thread per logical processor
-  /// (the original executor's shape).  Clamped to P (a worker needs at
-  /// least one processor to drive).
+  /// T = number of OS worker threads.  0 = one per hardware thread
+  /// (std::thread::hardware_concurrency(), at least 1).  Clamped to P (a
+  /// worker needs at least one processor to drive).
   std::size_t os_threads = 0;
   Interleave interleave = Interleave::kRoundRobin;
   /// Steps per visit under Interleave::kBlock.  64 keeps a processor's RNG
@@ -165,6 +172,11 @@ class HostExecutor {
   std::size_t var_slot_addr(std::uint32_t var, std::uint32_t stamp) const {
     return var_addr(var, stamp);
   }
+  /// Address of cell `cell` of bin `bin` (inspectors).
+  std::size_t bin_addr(std::size_t bin, std::size_t cell) const {
+    return bins_base_ + bin * b_ + cell;
+  }
+  std::size_t cells_per_bin() const noexcept { return b_; }
   /// The worker-thread count this run will use (after clamping).
   std::size_t os_threads() const noexcept { return nthreads_; }
 
@@ -214,10 +226,7 @@ class HostExecutor {
   void record_error(std::size_t tid, const char* what);
   void audit_and_repair(HostExecResult& out);
 
-  // Memory layout helpers (clock slots | bins | variable generations).
-  std::size_t bin_addr(std::size_t bin, std::size_t cell) const {
-    return bins_base_ + bin * b_ + cell;
-  }
+  // Memory layout helper (clock slots | bins | variable generations).
   std::size_t var_addr(std::uint32_t var, std::uint32_t stamp) const {
     return var_base_ + static_cast<std::size_t>(var) * cfg_.generations +
            stamp % cfg_.generations;
@@ -255,5 +264,23 @@ class HostExecutor {
   std::vector<std::string> error_slot_;
   std::atomic<std::int32_t> first_error_{-1};
 };
+
+/// The result of run_until_clean(): the last run, plus what its retries
+/// cost.
+struct CleanRun {
+  HostExecResult result;             ///< The final run.
+  std::size_t damaged_runs = 0;      ///< Runs discarded for lost_commits.
+  std::size_t lost_commits = 0;      ///< Summed over every run.
+  std::size_t repaired_commits = 0;  ///< Summed over every run.
+};
+
+/// The one lost-commit recovery policy: run `program` until a run is
+/// audit-clean (lost_commits == 0), re-seeding +1000 after each damaged
+/// run, for at most `attempts` runs.  Stops early on a run that did not
+/// complete (timeout or worker fault).  `result.lost_commits != 0` means
+/// every attempt was damaged.  Construction errors (e.g. generations < 2)
+/// propagate as std::invalid_argument.
+CleanRun run_until_clean(const pram::Program& program, HostExecConfig cfg,
+                         std::size_t attempts);
 
 }  // namespace apex::host

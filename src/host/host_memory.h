@@ -8,12 +8,13 @@
 // the model's "no compound read-write atomicity".
 //
 // Memory order: callers choose per access.  The default is seq_cst, which
-// keeps out-of-band pollers (HostAgreement's scanner) trivially correct.
-// The virtualized executor (host_executor.cpp) downgrades protocol words to
-// relaxed/acq-rel orders — each downgrade carries a proof obligation at its
-// use site arguing why the weaker order cannot introduce any behavior a
-// legal oblivious adversary could not already produce — and offers a
-// seq_cst fidelity fallback (HostExecConfig::seq_cst).  The one property
+// keeps inspectors and tests trivially correct.  The virtualized executor
+// (host_executor.cpp), the one protocol implementation on this substrate,
+// downgrades protocol words to relaxed/acq-rel orders — each downgrade
+// carries a proof obligation at its use site arguing why the weaker order
+// cannot introduce any behavior a legal oblivious adversary could not
+// already produce — and offers a seq_cst fidelity fallback
+// (HostExecConfig::seq_cst).  The one property
 // every order shares, and the only one the word+stamp discipline consumes,
 // is per-word atomicity + coherence: a load returns some value previously
 // stored to THAT word, never a torn mix.

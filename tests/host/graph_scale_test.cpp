@@ -36,28 +36,23 @@ TEST_P(GraphScale, AuditCleanAndBitForBitOnTheVirtualizedHost) {
   const pram::Program p = wl->make(n);
   EXPECT_EQ(p.nthreads(), std::min<std::size_t>(n, 4096));
   const auto ref = pram::Interpreter(p).run_deterministic({});
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    host::HostExecConfig cfg;
-    cfg.seed = 2024 + static_cast<std::uint64_t>(attempt);
-    cfg.os_threads = 2;
-    cfg.clock_alpha = 32.0;
-    cfg.generations = 6;
-    cfg.timeout_seconds = 600.0;
-    cfg.interleave = host::Interleave::kPartition;
-    cfg.proc_weights = wl->proc_weights(n);
-    host::HostExecutor ex(p, cfg);
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << wl->name << " error=" << res.error;
-    if (res.lost_commits != 0 && attempt < 3) continue;  // detected damage
-    ASSERT_EQ(res.lost_commits, 0u)
-        << wl->name << ": repeated preemption damage across seeds";
-    std::vector<Word> mem(res.memory.begin(), res.memory.end());
-    EXPECT_EQ(wl->check(n, mem), "") << wl->name;
-    ASSERT_EQ(mem.size(), ref.memory.size());
-    for (std::size_t v = 0; v < ref.memory.size(); ++v)
-      ASSERT_EQ(mem[v], ref.memory[v]) << wl->name << " v" << v;
-    return;
-  }
+  host::HostExecConfig cfg;
+  cfg.seed = 2024;
+  cfg.os_threads = 2;
+  cfg.clock_alpha = 32.0;
+  cfg.generations = 6;
+  cfg.timeout_seconds = 600.0;
+  cfg.interleave = host::Interleave::kPartition;
+  cfg.proc_weights = wl->proc_weights(n);
+  const auto res = host::run_until_clean(p, cfg, 4).result;
+  ASSERT_TRUE(res.completed) << wl->name << " error=" << res.error;
+  ASSERT_EQ(res.lost_commits, 0u)
+      << wl->name << ": repeated preemption damage across seeds";
+  const std::vector<Word>& mem = res.memory;
+  EXPECT_EQ(wl->check(n, mem), "") << wl->name;
+  ASSERT_EQ(mem.size(), ref.memory.size());
+  for (std::size_t v = 0; v < ref.memory.size(); ++v)
+    ASSERT_EQ(mem[v], ref.memory[v]) << wl->name << " v" << v;
 }
 
 INSTANTIATE_TEST_SUITE_P(CsrKernels, GraphScale,

@@ -9,11 +9,16 @@
 //   * every interleave policy and the seq_cst fidelity fallback produce
 //     audit-clean, invariant-satisfying runs;
 //   * the post-join repair pass re-commits an audited-stale slot from its
-//     writer's bin (and honestly reports an unrepairable one).
+//     writer's bin (and honestly reports an unrepairable one);
+//   * run_until_clean re-seeds +1000 after each damaged run and gives up
+//     after `attempts` runs.
 #include "host/host_executor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "pram/interp.h"
@@ -87,18 +92,10 @@ TEST(HostVirtual, MoreWorkerThreadsThanCores) {
   // T chosen far above any runner's core count: genuine oversubscription
   // preemption on top of virtualization.  Must still complete audit-clean
   // (or detectably damaged — retried on a fresh seed).
-  const auto* spec = pram::find_workload("prefix");
-  const pram::Program p = spec->make(16);
-  for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
-    HostExecConfig cfg = virt_cfg(93 + attempt, 16, 512.0);
-    HostExecutor ex(p, cfg);
-    EXPECT_EQ(ex.os_threads(), 16u);
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << res.error;
-    if (res.lost_commits != 0 && attempt < 3) continue;
-    expect_matches_reference("prefix", 16, res);
-    return;
-  }
+  const pram::Program p = pram::find_workload("prefix")->make(16);
+  const HostExecConfig cfg = virt_cfg(93, 16, 512.0);
+  EXPECT_EQ(HostExecutor(p, cfg).os_threads(), 16u);
+  expect_matches_reference("prefix", 16, run_until_clean(p, cfg, 4).result);
 }
 
 TEST(HostVirtual, OsThreadsClampedToProcessorCount) {
@@ -109,6 +106,19 @@ TEST(HostVirtual, OsThreadsClampedToProcessorCount) {
   EXPECT_EQ(ex.os_threads(), 4u);
   const auto res = ex.run();
   expect_matches_reference("prefix", 4, res);
+}
+
+TEST(HostVirtual, DefaultThreadCountIsHardwareClampedToP) {
+  // os_threads = 0 means one worker per hardware thread, clamped to P.
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(resolve_os_threads(0, 1024), std::min<std::size_t>(hw, 1024));
+  EXPECT_EQ(resolve_os_threads(0, 1), 1u);
+  EXPECT_EQ(resolve_os_threads(3, 2), 2u);
+  EXPECT_EQ(resolve_os_threads(3, 8), 3u);
+  const pram::Program p = pram::find_workload("prefix")->make(4);
+  EXPECT_EQ(HostExecutor(p, virt_cfg(94, 0)).os_threads(),
+            std::min<std::size_t>(hw, 4));
 }
 
 TEST(HostVirtual, InterleavePoliciesAllProduceValidRuns) {
@@ -244,22 +254,68 @@ TEST(HostVirtual, UnrepairableSlotStaysLost) {
   EXPECT_EQ(res.lost_commits, 1u);
 }
 
+// --- the retry policy (run_until_clean) -------------------------------------
+
+// With repair off, damages the last writer's slot of prefix_sum_var(n, n-1)
+// on every run for which `damage(run_index)` is true, so each such run
+// reports exactly one lost commit.  Counts the runs in `runs`.
+HostExecConfig damaging_cfg(const pram::Program& p, std::size_t n,
+                            std::uint64_t seed, int& runs,
+                            std::function<bool(int)> damage) {
+  HostExecConfig cfg = virt_cfg(seed, 1);
+  cfg.repair = false;
+  const std::uint32_t want = static_cast<std::uint32_t>(
+      pram::stamp_of_step(static_cast<std::uint32_t>(p.nsteps() - 1)));
+  const std::size_t slot =
+      HostExecutor(p, cfg).var_slot_addr(pram::prefix_sum_var(n, n - 1), want);
+  cfg.preaudit_fault = [&runs, damage, slot, want](HostMemory& mem) {
+    if (damage(runs++)) mem.write(slot, 424242, want - 4);
+  };
+  return cfg;
+}
+
+TEST(HostVirtual, RetryReseedsAfterOneDamagedRun) {
+  const std::size_t n = 8;
+  const pram::Program p = pram::find_workload("prefix")->make(n);
+  int runs = 0;
+  const HostExecConfig cfg =
+      damaging_cfg(p, n, 110, runs, [](int run) { return run == 0; });
+  const CleanRun run = run_until_clean(p, cfg, 3);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(run.damaged_runs, 1u);
+  EXPECT_EQ(run.lost_commits, 1u);
+  EXPECT_EQ(run.repaired_commits, 0u);
+  expect_matches_reference("prefix", n, run.result);
+  // T = 1 makes a run a function of its seed: the clean second run is
+  // exactly the run at seed + 1000.
+  const auto direct = HostExecutor(p, virt_cfg(110 + 1000, 1)).run();
+  EXPECT_EQ(run.result.memory, direct.memory);
+  EXPECT_EQ(run.result.total_work, direct.total_work);
+}
+
+TEST(HostVirtual, RetryGivesUpAfterAttemptsDamagedRuns) {
+  const std::size_t n = 8;
+  const pram::Program p = pram::find_workload("prefix")->make(n);
+  int runs = 0;
+  const HostExecConfig cfg =
+      damaging_cfg(p, n, 111, runs, [](int) { return true; });
+  const CleanRun run = run_until_clean(p, cfg, 3);
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(run.damaged_runs, 3u);
+  EXPECT_EQ(run.lost_commits, 3u);
+  ASSERT_TRUE(run.result.completed) << run.result.error;
+  EXPECT_NE(run.result.lost_commits, 0u);
+}
+
 // --- P >> T at scale --------------------------------------------------------
 
 TEST(HostVirtual, LargeInstanceOnTwoThreads) {
   // P = 64 logical processors on T = 2 OS threads: the configuration the
   // one-thread-per-processor design could never run sensibly.  spmv's
   // computed-index gathers exercise the run-time-resolved operand path.
-  for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
-    const auto* spec = pram::find_workload("spmv");
-    const pram::Program p = spec->make(64);
-    HostExecutor ex(p, virt_cfg(100 + attempt, 2));
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << res.error;
-    if (res.lost_commits != 0 && attempt < 3) continue;
-    expect_matches_reference("spmv", 64, res);
-    return;
-  }
+  const pram::Program p = pram::find_workload("spmv")->make(64);
+  expect_matches_reference("spmv", 64,
+                           run_until_clean(p, virt_cfg(100, 2), 4).result);
 }
 
 }  // namespace

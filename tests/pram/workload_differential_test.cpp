@@ -105,27 +105,22 @@ TEST_P(Differential, HostExecutorAgreesUnderRealPreemption) {
   // The OS can (rarely, on oversubscribed machines) park a worker inside
   // its commit window for whole phases, which the host executor detects
   // and reports via lost_commits (see host_executor.h).  A damaged run is
-  // re-run on a fresh seed; an AUDIT-CLEAN run must be exact — that is
+  // re-run on a fresh seed (host::run_until_clean); an AUDIT-CLEAN run must
+  // be exact — that is
   // the soundness claim this test pins.
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    host::HostExecConfig cfg;
-    cfg.seed = 44 + static_cast<std::uint64_t>(attempt);
-    cfg.timeout_seconds = 120.0;
-    host::HostExecutor ex(p, cfg);
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << wl.name << " error=" << res.error
-                               << " work=" << res.total_work;
-    if (res.lost_commits != 0 && attempt < 3) continue;  // detected damage
-    ASSERT_EQ(res.lost_commits, 0u)
-        << wl.name << ": repeated preemption damage across seeds";
-    std::vector<Word> mem(res.memory.begin(), res.memory.end());
-    EXPECT_EQ(wl.check(kN, mem), "") << wl.name;
-    if (wl.deterministic) {
-      const auto ref = pram::Interpreter(p).run_deterministic({});
-      for (std::size_t v = 0; v < ref.memory.size(); ++v)
-        ASSERT_EQ(mem[v], ref.memory[v]) << wl.name << " v" << v;
-    }
-    return;
+  host::HostExecConfig cfg;
+  cfg.seed = 44;
+  cfg.timeout_seconds = 120.0;
+  const auto res = host::run_until_clean(p, cfg, 4).result;
+  ASSERT_TRUE(res.completed) << wl.name << " error=" << res.error
+                             << " work=" << res.total_work;
+  ASSERT_EQ(res.lost_commits, 0u)
+      << wl.name << ": repeated preemption damage across seeds";
+  EXPECT_EQ(wl.check(kN, res.memory), "") << wl.name;
+  if (wl.deterministic) {
+    const auto ref = pram::Interpreter(p).run_deterministic({});
+    for (std::size_t v = 0; v < ref.memory.size(); ++v)
+      ASSERT_EQ(res.memory[v], ref.memory[v]) << wl.name << " v" << v;
   }
 }
 
@@ -163,24 +158,18 @@ TEST(DifferentialLargeN, VirtualizedHostBitForBitAtP64) {
     ASSERT_FALSE(wl->scale_ns.empty()) << name;
     const std::size_t n = wl->scale_ns.front();  // 64
     const pram::Program p = wl->make(n);
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      host::HostExecConfig cfg;
-      cfg.seed = 144 + static_cast<std::uint64_t>(attempt);
-      cfg.os_threads = 2;
-      cfg.clock_alpha = 48.0;
-      cfg.timeout_seconds = 120.0;
-      host::HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      ASSERT_TRUE(res.completed) << name << " error=" << res.error;
-      if (res.lost_commits != 0 && attempt < 3) continue;  // detected damage
-      ASSERT_EQ(res.lost_commits, 0u) << name;
-      std::vector<Word> mem(res.memory.begin(), res.memory.end());
-      EXPECT_EQ(wl->check(n, mem), "") << name;
-      const auto ref = pram::Interpreter(p).run_deterministic({});
-      for (std::size_t v = 0; v < ref.memory.size(); ++v)
-        ASSERT_EQ(mem[v], ref.memory[v]) << name << " v" << v;
-      break;
-    }
+    host::HostExecConfig cfg;
+    cfg.seed = 144;
+    cfg.os_threads = 2;
+    cfg.clock_alpha = 48.0;
+    cfg.timeout_seconds = 120.0;
+    const auto res = host::run_until_clean(p, cfg, 4).result;
+    ASSERT_TRUE(res.completed) << name << " error=" << res.error;
+    ASSERT_EQ(res.lost_commits, 0u) << name;
+    EXPECT_EQ(wl->check(n, res.memory), "") << name;
+    const auto ref = pram::Interpreter(p).run_deterministic({});
+    for (std::size_t v = 0; v < ref.memory.size(); ++v)
+      ASSERT_EQ(res.memory[v], ref.memory[v]) << name << " v" << v;
   }
 }
 
@@ -189,21 +178,15 @@ TEST(DifferentialLargeN, DagInvariantsHoldAtP64) {
   ASSERT_NE(wl, nullptr);
   const std::size_t n = 64;
   const pram::Program p = wl->make(n);
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    host::HostExecConfig cfg;
-    cfg.seed = 155 + static_cast<std::uint64_t>(attempt);
-    cfg.os_threads = 2;
-    cfg.clock_alpha = 48.0;
-    cfg.timeout_seconds = 120.0;
-    host::HostExecutor ex(p, cfg);
-    const auto res = ex.run();
-    ASSERT_TRUE(res.completed) << res.error;
-    if (res.lost_commits != 0 && attempt < 3) continue;
-    ASSERT_EQ(res.lost_commits, 0u);
-    std::vector<Word> mem(res.memory.begin(), res.memory.end());
-    EXPECT_EQ(wl->check(n, mem), "");
-    return;
-  }
+  host::HostExecConfig cfg;
+  cfg.seed = 155;
+  cfg.os_threads = 2;
+  cfg.clock_alpha = 48.0;
+  cfg.timeout_seconds = 120.0;
+  const auto res = host::run_until_clean(p, cfg, 4).result;
+  ASSERT_TRUE(res.completed) << res.error;
+  ASSERT_EQ(res.lost_commits, 0u);
+  EXPECT_EQ(wl->check(n, res.memory), "");
 }
 
 TEST(DifferentialLargeN, ScaleInstancesAreRegistryLegal) {

@@ -13,15 +13,20 @@
 //       through the execution scheme and verify its final-memory
 //       invariants.  --engine=host runs it on the virtualized real-thread
 //       executor instead of the simulator: P = n logical processors on
-//       --threads OS threads (0 = one per processor), --interleave=
+//       --threads OS threads (0 = one per hardware thread), --interleave=
 //       rr|random|block|partition (partition = weight-balanced placement
 //       from the workload's reported per-processor weights), --alpha=N
-//       clock updates per tick, --seq-cst for the fidelity memory-order
-//       fallback — which is how the large registry instances (n = 64/128,
-//       and the graph-scale 1e4/1e5 CSR kernels) run on a laptop.
+//       clock updates per tick (default 48), --seq-cst for the fidelity
+//       memory-order fallback — which is how the large registry instances
+//       (n = 64/128, and the graph-scale 1e4/1e5 CSR kernels) run on a
+//       laptop.  Host runs that lose commits to preemption are re-run on a
+//       fresh seed (host::run_until_clean).  Unknown --engine/--scheme
+//       values, and flags that do not apply to the chosen engine, exit 2.
 //
 //   apexcli host   [--threads=4] [--seed=1]
-//       run bin-array agreement on real std::threads.
+//       run single-shot bin-array agreement on real threads: a one-step
+//       program of --threads logical processors, each drawing one value,
+//       on the host executor.
 //
 //   apexcli sweep  [--n=16,32,64] [--sched=uniform,burst] [--seeds=3]
 //                  [--jobs=1] [--beta=8] [--csv]
@@ -67,6 +72,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <map>
@@ -169,14 +175,166 @@ std::string workload_n_range(const pram::WorkloadSpec& spec) {
   return s;
 }
 
+/// The engine an `exec` or `host` run uses, with its settings.
+struct EngineChoice {
+  bool host = false;
+  exec::ExecConfig sim;  ///< Simulator settings (batched/single_step).
+  exec::Scheme scheme = exec::Scheme::kNondeterministic;
+  host::HostExecConfig hcfg;  ///< Host-executor settings (engine=host).
+};
+
+/// The CLI's host operating point: T = hardware threads (clamped to P) at
+/// alpha = 48, which small-T runs tolerate.
+constexpr std::uint64_t kHostAlpha = 48;
+
+EngineChoice host_engine(std::uint64_t seed) {
+  EngineChoice e;
+  e.host = true;
+  e.hcfg.seed = seed;
+  e.hcfg.clock_alpha = static_cast<double>(kHostAlpha);
+  e.hcfg.timeout_seconds = 300.0;
+  return e;
+}
+
+/// Parse `exec`'s engine flags.  Unknown --engine/--scheme values and flags
+/// that do not apply to the chosen engine are usage errors: the message is
+/// printed and nullopt returned (exit 2).
+std::optional<EngineChoice> parse_engine(const Args& a) {
+  const std::string engine = a.str("engine", "batched");
+  if (engine != "batched" && engine != "single_step" && engine != "host") {
+    std::fprintf(stderr, "unknown --engine '%s' (batched|single_step|host)\n",
+                 engine.c_str());
+    return std::nullopt;
+  }
+  const bool host = engine == "host";
+  const std::vector<const char*> foreign =
+      host ? std::vector<const char*>{"sched", "scheme"}
+           : std::vector<const char*>{"threads", "interleave", "alpha",
+                                      "generations", "seq-cst"};
+  for (const char* flag : foreign)
+    if (a.kv.count(flag)) {
+      std::fprintf(stderr, "--%s does not apply to --engine=%s\n", flag,
+                   engine.c_str());
+      return std::nullopt;
+    }
+  if (host) {
+    EngineChoice e = host_engine(a.u64("seed", 1));
+    e.hcfg.os_threads = a.u64("threads", 0);
+    e.hcfg.clock_alpha = static_cast<double>(a.u64("alpha", kHostAlpha));
+    e.hcfg.seq_cst = a.kv.count("seq-cst") != 0;
+    e.hcfg.generations = a.u64("generations", e.hcfg.generations);
+    if (!host::parse_interleave(a.str("interleave", "rr"), e.hcfg.interleave)) {
+      std::fprintf(stderr,
+                   "unknown --interleave (rr|random|block|partition)\n");
+      return std::nullopt;
+    }
+    return e;
+  }
+  EngineChoice e;
+  e.sim.seed = a.u64("seed", 1);
+  e.sim.schedule = parse_sched(a.str("sched", "uniform"));
+  e.sim.engine = engine == "single_step" ? sim::GrantEngine::kSingleStep
+                                         : sim::GrantEngine::kBatched;
+  const std::string scheme = a.str("scheme", "nondet");
+  if (scheme != "nondet" && scheme != "det") {
+    std::fprintf(stderr, "unknown --scheme '%s' (nondet|det)\n",
+                 scheme.c_str());
+    return std::nullopt;
+  }
+  if (scheme == "det") e.scheme = exec::Scheme::kDeterministic;
+  return e;
+}
+
+/// Final-memory verdict of a run: `check` returns "" on success or the
+/// failure line to print (an empty `check` always passes); `pass` is the
+/// line printed on success.
+struct Verdict {
+  const char* pass;
+  std::function<std::string(const std::vector<pram::Word>&)> check;
+};
+
+/// The one `exec`/`host` run path.  Host runs go through the lost-commit
+/// retry policy (host::run_until_clean), so only an audit-clean memory
+/// reaches the verdict.  Returns the exit code: 0 = completed and the
+/// verdict held, 1 = run or verdict failed, 2 = the host executor rejected
+/// its configuration.
+int run_program(const pram::Program& p, const EngineChoice& e,
+                const Verdict& verdict) {
+  std::vector<pram::Word> mem;
+  if (e.host) {
+    std::printf("  engine=host T=%zu interleave=%s order=%s alpha=%g\n",
+                host::resolve_os_threads(e.hcfg.os_threads, p.nthreads()),
+                host::interleave_name(e.hcfg.interleave),
+                e.hcfg.seq_cst ? "seq_cst" : "acq_rel", e.hcfg.clock_alpha);
+    host::CleanRun run;
+    try {
+      run = host::run_until_clean(p, e.hcfg, 3);
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "%s\n", ex.what());
+      return 2;
+    }
+    const host::HostExecResult& res = run.result;
+    std::printf("  completed=%s work=%llu stamp_misses=%llu lost_commits=%zu "
+                "repaired_commits=%zu wall=%.3fs\n",
+                res.completed ? "yes" : "NO",
+                static_cast<unsigned long long>(res.total_work),
+                static_cast<unsigned long long>(res.stamp_misses),
+                res.lost_commits, res.repaired_commits, res.wall_seconds);
+    if (run.damaged_runs != 0)
+      std::printf("  re-ran on a fresh seed after %zu run(s) with "
+                  "unrepairable preemption damage\n",
+                  run.damaged_runs);
+    if (!res.completed) {
+      std::printf("  aborted: %s\n",
+                  res.error.empty() ? "timeout" : res.error.c_str());
+      return 1;
+    }
+    if (res.lost_commits != 0) {
+      std::printf("  damaged on every attempt\n");
+      return 1;
+    }
+    mem = res.memory;
+  } else {
+    std::printf("  engine=%s scheme=%s sched=%s\n",
+                e.sim.engine == sim::GrantEngine::kSingleStep ? "single_step"
+                                                              : "batched",
+                exec::scheme_name(e.scheme),
+                sim::schedule_kind_name(e.sim.schedule));
+    const auto chk = exec::run_checked(p, e.scheme, e.sim);
+    std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
+                "stamp_misses=%llu\n",
+                chk.result.completed ? "yes" : "NO",
+                static_cast<unsigned long long>(chk.result.total_work),
+                static_cast<unsigned long long>(chk.result.incomplete_tasks),
+                static_cast<unsigned long long>(chk.result.stamp_misses));
+    if (!chk.result.completed) {
+      std::printf("  did not complete within budget\n");
+      return 1;
+    }
+    if (!chk.consistency_error.empty()) {
+      std::printf("  INCONSISTENT: %s\n", chk.consistency_error.c_str());
+      return 1;
+    }
+    std::printf("  consistency: ok\n");
+    mem = chk.result.memory;
+  }
+  const std::string failure = verdict.check ? verdict.check(mem) : "";
+  std::printf("  %s\n", failure.empty() ? verdict.pass : failure.c_str());
+  return failure.empty() ? 0 : 1;
+}
+
 /// `apexcli exec FILE.pram`: compile a kernel-language source through the
-/// front-end and run it on the chosen engine — the simulator execution
-/// scheme (batched or single_step grant engine, with the produced-trace
-/// consistency check attached) or the virtualized host executor.  A
-/// deterministic program is additionally diffed bit-for-bit against the
-/// reference interpreter's replay from zero memory, so `exec` on a .pram
-/// file is a full differential run, not just "it didn't crash".
-int run_pram_file(const Args& a, const std::string& path) {
+/// front-end and run it.  A deterministic program is additionally diffed
+/// bit-for-bit against the reference interpreter's replay from zero
+/// memory, so `exec` on a .pram file is a full differential run, not just
+/// "it didn't crash".
+int run_pram_file(const EngineChoice& e, const std::string& path) {
+  if (e.host && e.hcfg.interleave == host::Interleave::kPartition) {
+    std::fprintf(stderr,
+                 "--interleave=partition needs per-processor weights, and "
+                 ".pram sources carry none; use rr|random|block\n");
+    return 2;
+  }
   lang::SourceFile src;
   const lang::CompileResult comp = lang::compile_file(path, src);
   if (!comp.ok()) {
@@ -185,103 +343,33 @@ int run_pram_file(const Args& a, const std::string& path) {
     return 1;
   }
   const pram::Program& p = *comp.program;
-  const std::string engine = a.str("engine", "batched");
-  std::printf("exec: file=%s (%s) procs=%zu vars=%zu steps=%zu engine=%s\n",
+  std::printf("exec: file=%s (%s) procs=%zu vars=%zu steps=%zu\n",
               path.c_str(), p.is_nondeterministic() ? "nondet" : "det",
-              p.nthreads(), p.nvars(), p.nsteps(), engine.c_str());
-  const auto interp_diff = [&p](const std::vector<pram::Word>& mem) {
-    if (p.is_nondeterministic()) return 0;
-    const auto ref = pram::Interpreter(p).run_deterministic(
-        std::vector<pram::Word>(p.nvars(), 0));
-    if (mem != ref.memory) {
-      std::printf("  DIVERGED from reference interpreter replay\n");
-      return 1;
-    }
-    std::printf("  interpreter replay: match\n");
-    return 0;
-  };
-  if (engine == "host") {
-    host::HostExecConfig hcfg;
-    hcfg.seed = a.u64("seed", 1);
-    hcfg.os_threads = a.u64("threads", 0);
-    hcfg.clock_alpha = static_cast<double>(
-        a.u64("alpha", hcfg.os_threads == 0 ? 4096 : 48));
-    hcfg.seq_cst = a.kv.count("seq-cst") != 0;
-    hcfg.timeout_seconds = 300.0;
-    hcfg.generations = a.u64("generations", hcfg.generations);
-    if (!host::parse_interleave(a.str("interleave", "rr"), hcfg.interleave)) {
-      std::fprintf(stderr,
-                   "unknown --interleave (rr|random|block|partition)\n");
-      return 2;
-    }
-    if (hcfg.interleave == host::Interleave::kPartition) {
-      std::fprintf(stderr,
-                   "--interleave=partition needs per-processor weights, and "
-                   ".pram sources carry none; use rr|random|block\n");
-      return 2;
-    }
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      host::HostExecutor ex(p, hcfg);
-      const auto res = ex.run();
-      std::printf("  completed=%s work=%llu stamp_misses=%llu "
-                  "lost_commits=%zu repaired_commits=%zu wall=%.3fs\n",
-                  res.completed ? "yes" : "NO",
-                  static_cast<unsigned long long>(res.total_work),
-                  static_cast<unsigned long long>(res.stamp_misses),
-                  res.lost_commits, res.repaired_commits, res.wall_seconds);
-      if (!res.completed) {
-        std::printf("  aborted: %s\n",
-                    res.error.empty() ? "timeout" : res.error.c_str());
-        return 1;
-      }
-      if (res.lost_commits != 0) {
-        std::printf("  detected unrepairable preemption damage; re-running "
-                    "on a fresh seed\n");
-        hcfg.seed += 1000;
-        continue;
-      }
-      const std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      return interp_diff(mem);
-    }
-    std::printf("  damaged on every attempt\n");
-    return 1;
-  }
-  exec::ExecConfig cfg;
-  cfg.seed = a.u64("seed", 1);
-  cfg.schedule = parse_sched(a.str("sched", "uniform"));
-  cfg.engine = engine == std::string("single_step")
-                   ? sim::GrantEngine::kSingleStep
-                   : sim::GrantEngine::kBatched;
-  const exec::Scheme scheme = a.str("scheme", "nondet") == std::string("det")
-                                  ? exec::Scheme::kDeterministic
-                                  : exec::Scheme::kNondeterministic;
-  const auto chk = exec::run_checked(p, scheme, cfg);
-  std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
-              "stamp_misses=%llu\n",
-              chk.result.completed ? "yes" : "NO",
-              static_cast<unsigned long long>(chk.result.total_work),
-              static_cast<unsigned long long>(chk.result.incomplete_tasks),
-              static_cast<unsigned long long>(chk.result.stamp_misses));
-  if (!chk.result.completed) {
-    std::printf("  did not complete within budget\n");
-    return 1;
-  }
-  if (!chk.consistency_error.empty()) {
-    std::printf("  INCONSISTENT: %s\n", chk.consistency_error.c_str());
-    return 1;
-  }
-  std::printf("  consistency: ok\n");
-  return interp_diff(chk.result.memory);
+              p.nthreads(), p.nvars(), p.nsteps());
+  if (p.is_nondeterministic())
+    return run_program(p, e, {"no reference replay (nondeterministic)", {}});
+  return run_program(
+      p, e,
+      {"interpreter replay: match", [&p](const std::vector<pram::Word>& mem) {
+         const auto ref = pram::Interpreter(p).run_deterministic(
+             std::vector<pram::Word>(p.nvars(), 0));
+         return mem == ref.memory
+                    ? std::string()
+                    : std::string("DIVERGED from reference interpreter replay");
+       }});
 }
 
 int cmd_exec(const Args& a) {
+  const std::optional<EngineChoice> parsed = parse_engine(a);
+  if (!parsed) return 2;
+  EngineChoice e = *parsed;
   if (!a.positional.empty()) {
     if (a.kv.count("workload") || a.kv.count("n")) {
       std::fprintf(stderr, "exec takes either a .pram file or a registry "
                            "--workload/--n, not both\n");
       return 2;
     }
-    return run_pram_file(a, a.positional[0]);
+    return run_pram_file(e, a.positional[0]);
   }
   const std::string wl = a.str("workload", "luby");
   const pram::WorkloadSpec* spec = pram::find_workload(wl);
@@ -296,126 +384,36 @@ int cmd_exec(const Args& a) {
                  wl.c_str(), n, workload_n_range(*spec).c_str());
     return 2;
   }
+  if (e.host && e.hcfg.interleave == host::Interleave::kPartition) {
+    if (spec->proc_weights == nullptr) {
+      std::fprintf(stderr,
+                   "--interleave=partition needs per-processor weights, and "
+                   "workload '%s' does not report any; use rr|random|block\n",
+                   wl.c_str());
+      return 2;
+    }
+    e.hcfg.proc_weights = spec->proc_weights(n);
+  }
   // Registry-legal n can still be rejected by the factory (e.g. a variable
   // layout whose ids overflow uint32 at extreme n); surface that as a clean
   // diagnostic instead of an uncaught-exception backtrace.
   std::optional<pram::Program> made;
   try {
     made.emplace(spec->make(n));
-  } catch (const std::exception& e) {
+  } catch (const std::exception& ex) {
     std::fprintf(stderr, "workload '%s' rejected n=%zu: %s (valid: %s)\n",
-                 wl.c_str(), n, e.what(), workload_n_range(*spec).c_str());
+                 wl.c_str(), n, ex.what(), workload_n_range(*spec).c_str());
     return 2;
   }
-  const pram::Program& p = *made;
-  if (a.str("engine", "batched") == std::string("host")) {
-    // The virtualized host executor: P = n logical processors multiplexed
-    // onto --threads OS threads (0 = one thread per processor, the legacy
-    // shape).  Real preemption replaces the simulated adversary, so a rare
-    // detected-damage run (lost_commits after repair) is retried on a
-    // fresh seed rather than trusted.
-    host::HostExecConfig hcfg;
-    hcfg.seed = a.u64("seed", 1);
-    hcfg.os_threads = a.u64("threads", 0);
-    hcfg.clock_alpha = static_cast<double>(
-        a.u64("alpha", hcfg.os_threads == 0 ? 4096 : 48));
-    hcfg.seq_cst = a.kv.count("seq-cst") != 0;
-    hcfg.timeout_seconds = 300.0;
-    hcfg.generations = a.u64("generations", hcfg.generations);
-    if (!host::parse_interleave(a.str("interleave", "rr"), hcfg.interleave)) {
-      std::fprintf(stderr,
-                   "unknown --interleave (rr|random|block|partition)\n");
-      return 2;
-    }
-    if (hcfg.interleave == host::Interleave::kPartition) {
-      if (spec->proc_weights == nullptr) {
-        std::fprintf(stderr,
-                     "--interleave=partition needs per-processor weights, "
-                     "and workload '%s' does not report any; use "
-                     "rr|random|block\n",
-                     wl.c_str());
-        return 2;
-      }
-      hcfg.proc_weights = spec->proc_weights(n);
-    }
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      host::HostExecutor ex(p, hcfg);
-      const auto res = ex.run();
-      std::printf(
-          "exec: workload=%s (%s%s) n=%zu steps=%zu engine=host T=%zu "
-          "interleave=%s order=%s alpha=%g\n",
-          wl.c_str(), spec->deterministic ? "det" : "nondet",
-          spec->irregular ? ", irregular" : "", n, p.nsteps(),
-          ex.os_threads(), host::interleave_name(hcfg.interleave),
-          hcfg.seq_cst ? "seq_cst" : "acq_rel", hcfg.clock_alpha);
-      std::printf(
-          "  completed=%s work=%llu stamp_misses=%llu lost_commits=%zu "
-          "repaired_commits=%zu wall=%.3fs\n",
-          res.completed ? "yes" : "NO",
-          static_cast<unsigned long long>(res.total_work),
-          static_cast<unsigned long long>(res.stamp_misses),
-          res.lost_commits, res.repaired_commits, res.wall_seconds);
-      if (!res.completed) {
-        std::printf("  aborted: %s\n",
-                    res.error.empty() ? "timeout" : res.error.c_str());
-        return 1;
-      }
-      if (res.lost_commits != 0) {
-        std::printf("  detected unrepairable preemption damage; re-running "
-                    "on a fresh seed\n");
-        hcfg.seed += 1000;
-        continue;
-      }
-      const std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      const std::string verdict = spec->check(n, mem);
-      if (!verdict.empty()) {
-        std::printf("  INVARIANT VIOLATION: %s\n", verdict.c_str());
-        return 1;
-      }
-      std::printf("  invariants: ok\n");
-      return 0;
-    }
-    std::printf("  damaged on every attempt\n");
-    return 1;
-  }
-  exec::ExecConfig cfg;
-  cfg.seed = a.u64("seed", 1);
-  cfg.schedule = parse_sched(a.str("sched", "uniform"));
-  cfg.engine = a.str("engine", "batched") == std::string("single_step")
-                   ? sim::GrantEngine::kSingleStep
-                   : sim::GrantEngine::kBatched;
-  const exec::Scheme scheme =
-      a.str("scheme", "nondet") == std::string("det")
-          ? exec::Scheme::kDeterministic
-          : exec::Scheme::kNondeterministic;
-
-  const auto chk = exec::run_checked(p, scheme, cfg);
-  std::printf("exec: workload=%s (%s%s) n=%zu steps=%zu scheme=%s sched=%s\n",
-              wl.c_str(), spec->deterministic ? "det" : "nondet",
-              spec->irregular ? ", irregular" : "", n, p.nsteps(),
-              exec::scheme_name(scheme),
-              sim::schedule_kind_name(cfg.schedule));
-  std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
-              "stamp_misses=%llu\n",
-              chk.result.completed ? "yes" : "NO",
-              static_cast<unsigned long long>(chk.result.total_work),
-              static_cast<unsigned long long>(chk.result.incomplete_tasks),
-              static_cast<unsigned long long>(chk.result.stamp_misses));
-  if (!chk.result.completed) {
-    std::printf("  did not complete within budget\n");
-    return 1;
-  }
-  if (!chk.consistency_error.empty()) {
-    std::printf("  INCONSISTENT: %s\n", chk.consistency_error.c_str());
-    return 1;
-  }
-  const std::string verdict = spec->check(n, chk.result.memory);
-  if (!verdict.empty()) {
-    std::printf("  INVARIANT VIOLATION: %s\n", verdict.c_str());
-    return 1;
-  }
-  std::printf("  invariants: ok\n");
-  return 0;
+  std::printf("exec: workload=%s (%s%s) n=%zu steps=%zu\n", wl.c_str(),
+              spec->deterministic ? "det" : "nondet",
+              spec->irregular ? ", irregular" : "", n, made->nsteps());
+  return run_program(*made, e,
+                     {"invariants: ok",
+                      [spec, n](const std::vector<pram::Word>& mem) {
+                        const std::string v = spec->check(n, mem);
+                        return v.empty() ? v : "INVARIANT VIOLATION: " + v;
+                      }});
 }
 
 /// `apexcli compile FILE.pram`: run the front-end only.  On success the
@@ -480,21 +478,33 @@ int cmd_emit(const Args& a) {
   return 0;
 }
 
+/// `apexcli host`: single-shot bin-array agreement on real threads.  In the
+/// paper agreement is the Compute subphase of one PRAM step, so this is a
+/// one-step program — processor i draws rand_below(1000) into variable i —
+/// on the host executor.  An audit-clean run certifies each variable holds
+/// its bin's unique agreed value.
 int cmd_host(const Args& a) {
-  host::HostConfig cfg;
-  cfg.nthreads = a.u64("threads", 4);
-  cfg.seed = a.u64("seed", 1);
-  host::HostAgreement ha(cfg, [](std::size_t, apex::Rng& rng) {
-    return rng.below(1000);
+  constexpr pram::Word kSupport = 1000;
+  const std::size_t procs = a.u64("threads", 4);
+  if (procs == 0) {
+    std::fprintf(stderr, "host: --threads must be >= 1\n");
+    return 2;
+  }
+  pram::ProgramBuilder b(procs, procs);
+  b.step().all([](std::size_t i) {
+    return pram::Instr::rand_below(static_cast<std::uint32_t>(i), kSupport);
   });
-  const auto res = ha.run(20.0);
-  std::printf("host agreement: threads=%zu satisfied=%s phase=%u "
-              "cycles=%llu work=%llu wall=%.3fs\n",
-              cfg.nthreads, res.satisfied ? "yes" : "NO", res.phase,
-              static_cast<unsigned long long>(res.cycles),
-              static_cast<unsigned long long>(res.total_work),
-              res.wall_seconds);
-  return res.satisfied ? 0 : 1;
+  std::printf("host agreement: P=%zu logical processors, one draw each\n",
+              procs);
+  return run_program(b.build(), host_engine(a.u64("seed", 1)),
+                     {"agreed values in support: ok",
+                      [](const std::vector<pram::Word>& mem) {
+                        for (const pram::Word v : mem)
+                          if (v >= kSupport)
+                            return "agreed value " + std::to_string(v) +
+                                   " outside its support";
+                        return std::string();
+                      }});
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -715,14 +725,14 @@ WorkloadPerfRow run_workload_perf(const char* name, std::size_t n, int reps) {
 }
 
 /// Host-substrate throughput: a registered workload through the virtualized
-/// HostExecutor (P = n logical processors on T OS threads; T = 0 is the
+/// HostExecutor (P = n logical processors on T OS threads; T = P is the
 /// legacy one-thread-per-processor shape).  Best-of-reps wall clock; rows
 /// land in BENCH_core.json as `host_rows`, putting the scaling half of the
 /// benchmark story on the same committed trajectory as the simulator core.
 struct HostPerfRow {
   const char* workload;
   std::size_t n;        ///< P.
-  std::size_t threads;  ///< T (0 = legacy shape).
+  std::size_t threads;  ///< T.
   const char* policy;
   const char* order;
   double alpha;
@@ -752,32 +762,20 @@ HostPerfRow run_host_perf(const char* name, std::size_t n, std::size_t T,
     cfg.seq_cst = seq_cst;
     cfg.clock_alpha = alpha;
     cfg.timeout_seconds = 300.0;
-    // A rep with detected preemption damage is retried on a fresh seed
-    // (same policy as bench_e12 and `exec --engine=host`): the damage is
-    // counted on the row, but an untrusted run may neither win the
-    // best-of-reps slot nor latch the row not-ok.
-    bool clean = false;
-    for (int attempt = 0; attempt < 3 && !clean; ++attempt) {
-      host::HostExecutor ex(p, cfg);
-      const auto res = ex.run();
-      r.completed &= res.completed;
-      r.lost += res.lost_commits;
-      r.repaired += res.repaired_commits;
-      if (!res.completed) break;
-      if (res.lost_commits != 0) {
-        cfg.seed += 1000;
-        continue;
-      }
-      clean = true;
-      std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-      r.ok &= spec->check(n, mem).empty();
-      if (!timed || res.wall_seconds < r.seconds) {
-        r.seconds = res.wall_seconds;
-        r.work = res.total_work;
-        timed = true;
-      }
+    // Detected preemption damage is counted on the row, but an untrusted
+    // run may neither win the best-of-reps slot nor latch the row not-ok.
+    const host::CleanRun run = host::run_until_clean(p, cfg, 3);
+    const host::HostExecResult& res = run.result;
+    r.completed &= res.completed;
+    r.lost += run.lost_commits;
+    r.repaired += run.repaired_commits;
+    const bool clean = res.completed && res.lost_commits == 0;
+    r.ok &= clean && spec->check(n, res.memory).empty();
+    if (clean && (!timed || res.wall_seconds < r.seconds)) {
+      r.seconds = res.wall_seconds;
+      r.work = res.total_work;
+      timed = true;
     }
-    r.ok &= clean;
   }
   r.work_per_sec =
       r.seconds > 0 ? static_cast<double>(r.work) / r.seconds : 0.0;
@@ -823,25 +821,18 @@ GraphPerfRow run_graph_perf(const char* name, std::size_t n, std::size_t T,
   cfg.timeout_seconds = 600.0;
   if (il == host::Interleave::kPartition && spec->proc_weights != nullptr)
     cfg.proc_weights = spec->proc_weights(n);
-  bool clean = false;
-  for (int attempt = 0; attempt < 4 && !clean; ++attempt) {
-    host::HostExecutor ex(p, cfg);
-    const auto res = ex.run();
-    r.completed &= res.completed;
-    r.lost += res.lost_commits;
-    r.repaired += res.repaired_commits;
-    if (!res.completed) break;
-    if (res.lost_commits != 0) {
-      cfg.seed += 1000;
-      continue;
-    }
-    clean = true;
-    std::vector<pram::Word> mem(res.memory.begin(), res.memory.end());
-    r.ok &= spec->check(n, mem).empty();
+  const host::CleanRun run = host::run_until_clean(p, cfg, 4);
+  const host::HostExecResult& res = run.result;
+  r.completed = res.completed;
+  r.lost = run.lost_commits;
+  r.repaired = run.repaired_commits;
+  if (res.completed && res.lost_commits == 0) {
+    r.ok = spec->check(n, res.memory).empty();
     r.seconds = res.wall_seconds;
     r.work = res.total_work;
+  } else {
+    r.ok = false;
   }
-  r.ok &= clean;
   r.work_per_sec =
       r.seconds > 0 ? static_cast<double>(r.work) / r.seconds : 0.0;
   return r;
@@ -886,7 +877,7 @@ int cmd_perfbench(const Args& a) {
     wl_rows.push_back(run_workload_perf(name, n, reps));
 
   // Host rows: the virtualized executor's T x P x policy x order grid.
-  // The legacy-shape prefix row (T = 0, alpha = 4096) anchors against the
+  // The legacy-shape prefix row (T = P, alpha = 4096) anchors against the
   // committed host_pre_virtualization block; the P = 64 rows are the
   // scaling configurations the one-thread-per-processor design never ran.
   const std::size_t hw = std::max<std::size_t>(
@@ -901,7 +892,7 @@ int cmd_perfbench(const Args& a) {
   const auto kBlk = host::Interleave::kBlock;
   const auto kRR = host::Interleave::kRoundRobin;
   std::vector<HostPoint> host_grid = {
-      {"prefix", 8, 0, kRR, false, 4096.0},               // legacy shape
+      {"prefix", 8, 8, kRR, false, 4096.0},               // legacy T = P
       {"prefix", 8, std::min<std::size_t>(hw, 8), kBlk, false, 4096.0},
       {"spmv", 64, 2, kBlk, false, 48.0},
       {"spmv", 64, 2, kBlk, true, 48.0},                  // fidelity fallback
@@ -990,7 +981,7 @@ int cmd_perfbench(const Args& a) {
     std::printf("\nworkload throughput (full scheme, nondet, batched):\n");
     wt.print(std::cout);
     std::printf("\nhost throughput (virtualized executor, P procs on T "
-                "threads; T=0 = one thread per proc):\n");
+                "threads; T=P = one thread per proc):\n");
     ht.print(std::cout);
     std::printf("\ngraph-scale throughput (CSR kernels, P=min(n,4096) on "
                 "T=2 threads, alpha=32):\n");
@@ -1336,8 +1327,8 @@ int usage(const std::string& cmd) {
       "        --seed=1 --engine=batched|single_step|host\n"
       "        (host engine: --threads=T "
       "--interleave=rr|random|block|partition\n"
-      "         --alpha=N --generations=G --seq-cst; T=0 = one thread per\n"
-      "         processor; partition uses the workload's reported\n"
+      "         --alpha=48 --generations=G --seq-cst; T=0 = one thread per\n"
+      "         hardware thread; partition uses the workload's reported\n"
       "         per-processor weights)\n"
       "        (workloads: %s)\n"
       "  exec  FILE.pram [--engine=...] [--sched=...] [--seed=1]\n"
@@ -1346,7 +1337,7 @@ int usage(const std::string& cmd) {
       "  compile FILE.pram     front-end only: IR dump to stdout, or\n"
       "        file:line:col diagnostics to stderr (exit 1)\n"
       "  emit  --workload=NAME --n=8   render a registry kernel as .pram\n"
-      "  host  --threads=4 --seed=1\n"
+      "  host  --threads=4 --seed=1   (--threads = P logical processors)\n"
       "  sweep --n=16,32,64 --sched=uniform,burst --seeds=3 --jobs=1 --beta=8\n"
       "        [--csv]\n"
       "  fuzz  --trials=500 --jobs=1 --seed=1 [--no-shrink] [--grammar]\n"
