@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/math.h"
 
@@ -10,6 +11,35 @@ namespace apex::exec {
 const char* scheme_name(Scheme s) noexcept {
   return s == Scheme::kNondeterministic ? "nondet" : "det";
 }
+
+namespace {
+
+/// Cap on the simulated memory one executor lays out: 2^26 cells (1 GiB).
+/// No run the simulator could finish comes near it (the clock alone ticks
+/// once per ~alpha * n * lg n agreement cycles), so the cap only turns an
+/// oversized program into a clean error before anything is allocated.
+constexpr std::size_t kMaxWords = std::size_t{1} << 26;
+
+/// Reject a layout (clock slots, generation slots, then bins or NewVal)
+/// larger than kMaxWords.  Products saturate just past the cap, so the sum
+/// cannot wrap.
+void check_layout(const pram::Program& p, Scheme scheme,
+                  const ExecConfig& cfg) {
+  const auto capped = [](std::size_t a, std::size_t b) {
+    return b != 0 && a > kMaxWords / b ? kMaxWords + 1 : a * b;
+  };
+  const std::size_t n = p.nthreads();
+  const std::size_t tail =
+      scheme == Scheme::kNondeterministic
+          ? capped(n, agreement::BinArray::cells_for(n, cfg.beta))
+          : capped(n, 1);
+  if (capped(n, 1) + capped(p.nvars(), cfg.generations) + tail > kMaxWords)
+    throw std::invalid_argument(
+        "Executor: memory layout exceeds the simulator's limit of " +
+        std::to_string(kMaxWords) + " words");
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Impl: memory layout, task procedures, driver, and the subphase monitor.
@@ -199,6 +229,13 @@ struct Executor::Impl {
   /// Watches clock writes to detect true tick transitions and audits each
   /// step's COMMITTED values one full phase after its Copy subphase ended.
   ///
+  /// It runs on the simulator's write watch, not on the observer chain:
+  /// the watch calls it at the atomic point of every write into the clock
+  /// region (det scheme: clock through NewVal, see the constructor), so the
+  /// audits read live memory exactly as it stands at the tick transition,
+  /// and an executor with no user observers keeps the batched engine on its
+  /// fast path.
+  ///
   /// Why the delay: processors act on *estimated* ticks that lag/lead the
   /// true tick by a bounded amount, so copies for step s legitimately
   /// straggle past the true Copy->Compute boundary.  Snapshotting agreed
@@ -223,14 +260,8 @@ struct Executor::Impl {
   /// each (step, task) — an event-driven, race-free capture — so a later
   /// redraw that gets committed shows up as a genuine consistency
   /// violation instead of being laundered by reading the final slot back.
-  struct Monitor final : public sim::StepObserver {
+  struct Monitor final : public sim::WriteWatcher {
     Impl* im = nullptr;
-
-    /// The subphase audits re-read LIVE memory cells (audit_commits) at
-    /// exact step positions, so deferred span delivery would audit a
-    /// different memory state: demand per-step delivery from the batched
-    /// engine.
-    bool step_synchronous() const noexcept override { return true; }
     std::uint64_t clock_total = 0;
     std::uint64_t tick = 0;
     std::vector<std::vector<pram::Word>> produced;
@@ -250,23 +281,21 @@ struct Executor::Impl {
     /// of step T-1 happens when tick 2(T-1)+3 = 2T+1 closes.
     std::uint64_t end_tick() const { return 2 * im->T() + 2; }
 
-    void on_step(const sim::StepEvent& ev) override {
-      if (ev.op.kind != sim::Op::Kind::Write) return;
-      if (im->scheme == Scheme::kDeterministic &&
-          ev.op.addr >= im->newval_base &&
-          ev.op.addr < im->newval_base + im->n()) {
-        const std::size_t i = ev.op.addr - im->newval_base;
-        const sim::Word st = ev.after.stamp;
+    void on_write(std::size_t addr, const sim::Cell& before,
+                  const sim::Cell& after) override {
+      if (im->scheme == Scheme::kDeterministic && addr >= im->newval_base &&
+          addr < im->newval_base + im->n()) {
+        const std::size_t i = addr - im->newval_base;
+        const sim::Word st = after.stamp;
         if (st > newval_stamp_seen[i] && st >= 1 &&
             st <= static_cast<sim::Word>(im->T())) {
           newval_stamp_seen[i] = st;
-          produced[static_cast<std::size_t>(st - 1)][i] = ev.after.value;
+          produced[static_cast<std::size_t>(st - 1)][i] = after.value;
         }
         return;
       }
-      if (!im->clock->owns(ev.op.addr)) return;
-      if (ev.after.value > ev.before.value)
-        clock_total += ev.after.value - ev.before.value;
+      if (!im->clock->owns(addr)) return;
+      if (after.value > before.value) clock_total += after.value - before.value;
       const std::uint64_t now = clock_total / im->clock->threshold();
       while (tick < now && tick < end_tick()) finalize_subphase();
     }
@@ -318,6 +347,7 @@ Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
   // audit — so the unsafe configuration is rejected outright.
   if (cfg.generations < 3)
     throw std::invalid_argument("Executor: generations must be >= 3");
+  check_layout(program, scheme, cfg);
   const std::size_t n = program.nthreads();
 
   apex::SeedTree seeds{cfg.seed};
@@ -363,8 +393,16 @@ Executor::Executor(const pram::Program& program, Scheme scheme, ExecConfig cfg)
     impl_->newval_base = sim_->memory().extend(n);
   }
 
+  // The monitor needs the clock's writes; the det scheme's first-write
+  // capture also needs NewVal's, which the layout puts after the variables,
+  // so its watch spans clock, variables and NewVal (the monitor skips
+  // variable writes).
   impl_->monitor.init(impl_.get());
-  sim_->add_observer(&impl_->monitor);
+  const clockx::PhaseClock& clk = *impl_->clock;
+  const std::size_t watch_end = scheme_ == Scheme::kNondeterministic
+                                    ? clk.base_addr() + clk.slots()
+                                    : impl_->newval_base + n;
+  sim_->watch_writes(clk.base_addr(), watch_end, &impl_->monitor);
 
   Impl* im = impl_.get();
   for (std::size_t p = 0; p < n; ++p)

@@ -17,6 +17,28 @@ namespace {
 /// protocol state, so it stays an oblivious adversary by construction.
 constexpr std::uint64_t kInterleaveTag = 0x17E21EAFULL;
 
+/// Words of the shared layout (n clock slots, n bins of b cells, G
+/// generation slots per variable), validated BEFORE the executor allocates
+/// it: the operand plans address it with 32-bit offsets.
+std::size_t layout_words(std::size_t n, std::size_t b, std::size_t nvars,
+                         std::size_t generations) {
+  if (generations < 2)
+    throw std::invalid_argument("HostExecutor: generations must be >= 2");
+  constexpr std::size_t kLimit = std::numeric_limits<std::uint32_t>::max();
+  const auto fits = [](std::size_t a, std::size_t m, std::size_t room) {
+    return m == 0 || a <= room / m;
+  };
+  std::size_t words = n;
+  if (words < kLimit && fits(n, b, kLimit - words)) {
+    words += n * b;
+    if (fits(nvars, generations, kLimit - words)) {
+      words += nvars * generations;
+      if (words < kLimit) return words;
+    }
+  }
+  throw std::invalid_argument("HostExecutor: layout exceeds 32-bit plans");
+}
+
 }  // namespace
 
 std::size_t resolve_os_threads(std::size_t os_threads, std::size_t nprocs) {
@@ -59,14 +81,10 @@ HostExecutor::HostExecutor(const pram::Program& program, HostExecConfig cfg)
       clock_samples_(std::max<std::size_t>(1, 3 * lg(n_))),
       stride_(std::max<std::uint64_t>(1, lg(n_))),
       end_tick_(2 * static_cast<std::uint64_t>(program.nsteps())),
-      mem_(n_ + n_ * b_ + program.nvars() * cfg.generations),
+      mem_(layout_words(n_, b_, program.nvars(), cfg.generations)),
       done_(nthreads_),
       error_slot_(nthreads_) {
-  if (cfg.generations < 2)
-    throw std::invalid_argument("HostExecutor: generations must be >= 2");
   if (cfg_.block == 0) cfg_.block = 1;
-  if (mem_.size() >= std::numeric_limits<std::uint32_t>::max())
-    throw std::invalid_argument("HostExecutor: layout exceeds 32-bit plans");
 
   // --- virtual processors + slices ------------------------------------------
   procs_.resize(n_);

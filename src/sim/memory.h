@@ -6,7 +6,6 @@
 // model and cost no work.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -41,27 +40,13 @@ class Memory {
     return cells_[addr];
   }
 
-  /// Raw cell array for the simulator's batched fast path.  The pointer is
+  /// Raw cell array for the simulator's batched engine, whose step
+  /// awaiters bound-check against size() themselves.  The pointer is
   /// stable for the duration of a run(): regions are carved out with
   /// extend() strictly before processors run (extending mid-run would
   /// invalidate it and is not supported).
   Cell* data() noexcept { return cells_.data(); }
   const Cell* data() const noexcept { return cells_.data(); }
-
-  /// Unchecked access for the simulator's no-observer fast path.  Callers
-  /// must hold an address inside a region handed out by the constructor or
-  /// extend() — the bound was proved at carve-out time, so the per-step
-  /// check is asserted (Debug) rather than re-tested (Release).  Everything
-  /// out-of-band (inspectors, oracles, tests) keeps using the checked at().
-  const Cell& at_unchecked(std::size_t addr) const noexcept {
-    assert(addr < cells_.size());
-    return cells_[addr];
-  }
-
-  Cell& at_unchecked(std::size_t addr) noexcept {
-    assert(addr < cells_.size());
-    return cells_[addr];
-  }
 
   /// Out-of-band reset (tests only): zero [base, base + len).  A zero-length
   /// clear is valid anywhere up to one-past-the-end (in particular on empty

@@ -15,7 +15,6 @@
 // suspends the whole stack by recording the deepest handle in the Ctx.
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -125,10 +124,14 @@ class Ctx {
   //   * instrumented batched (fast_cells_ AND ev_cur_ set): like fast, but
   //     the awaiter additionally fills the scheduler's current StepEvent
   //     slot (*ev_cur_ points at the next free entry of the batch event
-  //     buffer; the scheduler pre-fills time/proc and advances it).  An
-  //     out-of-range address is NOT executed: the awaiter flags the fault
-  //     and the scheduler throws std::out_of_range for that grant, exactly
-  //     where checked Memory::at would have.
+  //     buffer; the scheduler pre-fills time/proc and advances it).
+  // Both inline modes bound-check the address: an out-of-range op is NOT
+  // executed — the awaiter flags the fault and the scheduler throws
+  // std::out_of_range for that grant, exactly where checked Memory::at
+  // throws in classic mode.  Every mode reports a write into the
+  // simulator's watched range (Simulator::watch_writes) at its atomic
+  // point: the inline modes from the awaiter, classic mode from the
+  // scheduler right after it executes the op.
   // The `inline_exec` flag remembers which mode produced the result, so a
   // step suspended under one mode resumes correctly under the other.
   //
@@ -147,22 +150,19 @@ class Ctx {
     void await_suspend(std::coroutine_handle<> h) noexcept {
       Ctx* const c = ctx;
       *c->resume_slot_ = h;
-      if (Cell* const cells = c->fast_cells_) {
+      if (const Cell* const cells = c->fast_cells_) {
+        if (addr >= c->fast_words_) [[unlikely]] {
+          c->flag_oob(addr);
+          return;  // not executed, not charged; the scheduler faults
+        }
+        const Cell cv = cells[addr];
         if (StepEvent* const* const es = c->ev_cur_) {
-          if (addr >= c->fast_words_) [[unlikely]] {
-            c->flag_oob(addr);
-            return;  // not executed, not charged; the scheduler faults
-          }
-          const Cell cv = cells[addr];
           StepEvent& e = **es;
           e.op = Op{Op::Kind::Read, addr, 0, 0};
           e.before = cv;
           e.after = cv;
-          result = cv;
-        } else {
-          assert(addr < c->fast_words_);
-          result = cells[addr];
         }
+        result = cv;
         c->steps_ += 1;
         inline_exec = true;
       } else {
@@ -186,20 +186,24 @@ class Ctx {
       Ctx* const c = ctx;
       *c->resume_slot_ = h;
       if (Cell* const cells = c->fast_cells_) {
+        if (addr >= c->fast_words_) [[unlikely]] {
+          c->flag_oob(addr);
+          return;  // not executed, not charged; the scheduler faults
+        }
+        const Cell cv{value, stamp};
+        Cell& cell = cells[addr];
         if (StepEvent* const* const es = c->ev_cur_) {
-          if (addr >= c->fast_words_) [[unlikely]] {
-            c->flag_oob(addr);
-            return;  // not executed, not charged; the scheduler faults
-          }
           StepEvent& e = **es;
           e.op = Op{Op::Kind::Write, addr, value, stamp};
-          e.before = cells[addr];
-          const Cell cv{value, stamp};
-          cells[addr] = cv;
+          e.before = cell;
           e.after = cv;
+        }
+        if (addr - c->watch_lo_ < c->watch_len_) [[unlikely]] {
+          const Cell before = cell;
+          cell = cv;
+          c->notify_write(addr, before, cv);
         } else {
-          assert(addr < c->fast_words_);
-          cells[addr] = Cell{value, stamp};
+          cell = cv;
         }
         c->steps_ += 1;
         inline_exec = true;
@@ -277,10 +281,17 @@ class Ctx {
   /// Out of line — needs the Simulator definition.
   void bump_extra_work() noexcept;
 
-  /// Instrumented-mode fault hook: report an out-of-range address to the
+  /// Inline-mode fault hook: report an out-of-range address to the
   /// simulator (the op is not executed; the scheduler throws for this
-  /// grant).  Out of line — needs the Simulator definition.
+  /// grant).  Parks the resume handle with the simulator and clears the
+  /// resume slot, so the scheduler's rare-outcome branch (null slot after
+  /// a resume) catches the fault at no cost to the common path.  Out of
+  /// line — needs the Simulator definition.
   void flag_oob(std::size_t addr) noexcept;
+
+  /// Inline-mode write-watch hook (see Simulator::watch_writes).
+  void notify_write(std::size_t addr, const Cell& before,
+                    const Cell& after);
 
   // Field order is deliberate: the first block is everything a fast-mode
   // step suspension touches (see the awaiters above), packed into one cache
@@ -291,11 +302,14 @@ class Ctx {
   // once the processor has finished.  Non-null fast_cells_ switches the
   // awaiters to inline execution against the raw cell array (stable for
   // the duration of a run); non-null ev_cur_ additionally points at the
-  // Simulator's current-event cursor (instrumented batched runs).  All are
-  // (re)set by the Simulator per run().
+  // Simulator's current-event cursor (instrumented batched runs).
+  // [watch_lo_, watch_lo_ + watch_len_) is the simulator's watched write
+  // range (empty = no watch).  All are (re)set by the Simulator per run().
   std::coroutine_handle<>* resume_slot_ = nullptr;
   Cell* fast_cells_ = nullptr;
   std::size_t fast_words_ = 0;
+  std::size_t watch_lo_ = 0;
+  std::size_t watch_len_ = 0;
   StepEvent* const* ev_cur_ = nullptr;
   std::uint64_t steps_ = 0;  ///< Granted steps (work units) so far.
   bool charge_local_twice_ = false;

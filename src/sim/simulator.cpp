@@ -1,9 +1,9 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "check/mutation.h"
 
@@ -96,6 +96,8 @@ bool Simulator::grant_instrumented(std::size_t p, bool double_charge) {
         c = Cell{op.value, op.stamp};
         ev.after = c;
         ctx.result_ = c;
+        if (op.addr - watch_lo_ < watch_len_) [[unlikely]]
+          watcher_->on_write(op.addr, ev.before, ev.after);
         break;
       }
       case Op::Kind::Local:
@@ -177,17 +179,13 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
   // fills the current slot of the batch event buffer (through ev_cur_; the
   // loop pre-fills time/proc and advances the slot).  Delivery is deferred:
   // one on_steps(span) per kEventBatch events (and one for the remainder at
-  // every exit of this function) down the deferred part of the chain — so
-  // every executed step is delivered exactly once, in order, before any
-  // stop-predicate poll and before any exception escapes.  Observers that demanded exact-step delivery
-  // (step_synchronous) get per-step on_step calls at the same point the
-  // single-step engine makes them.
+  // every exit of this function) down the chain — so every executed step
+  // is delivered exactly once, in order, before any stop-predicate poll
+  // and before any exception escapes.
   const std::uint32_t* const buf = grant_buf_.data();
   std::coroutine_handle<>* const slots = resume_slots_.data();
   StepEvent* const evs = event_buf_.data();
   StepEvent* const evs_cap = evs + event_buf_.size();
-  StepObserver* const* const sync = sync_obs_.data();
-  const std::size_t nsync = sync_obs_.size();
   if (bad_grant_at_ < buf_pos_) [[unlikely]] validate_grants(buf_pos_);
   const std::size_t safe_end = std::min(end, bad_grant_at_);
   const std::size_t pos0 = buf_pos_;
@@ -236,6 +234,14 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
       h.resume();
 
       if (!slots[p]) [[unlikely]] {
+        if (oob_fault_) [[unlikely]] {
+          // The awaiter refused an out-of-range address: nothing executed,
+          // nothing charged, no event (ev_next_ stays put, so the
+          // pre-filled slot is never delivered).  The grant's tick is
+          // consumed; deads neutralizes its work charge.
+          ++deads;
+          throw_oob(p);
+        }
         ProcState& ps = procs_[p];
         const auto top = ps.task.handle();
         if (top.promise().exception) [[unlikely]]
@@ -251,7 +257,6 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
         ev_next_ = e + 1;
         work_ += 1;
         if (double_charge) [[unlikely]] work_ += 1;  // final resume is Local
-        for (std::size_t i = 0; i < nsync; ++i) sync[i]->on_step(*e);
         if (ev_next_ == evs_cap) [[unlikely]] {
           flush_observers();
           ev_next_ = evs;
@@ -264,22 +269,8 @@ void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
         continue;
       }
 
-      if (oob_fault_) [[unlikely]] {
-        // The awaiter refused an out-of-range address: nothing executed,
-        // nothing charged, no event (ev_next_ stays put, so the pre-filled
-        // slot is never delivered).  Consume the grant's tick (deads
-        // neutralizes its work charge) and fault exactly as checked
-        // Memory::at did on the pre-batching instrumented path.
-        oob_fault_ = false;
-        ++deads;
-        throw std::out_of_range("apex::sim::Memory: address " +
-                                std::to_string(oob_addr_) + " >= size " +
-                                std::to_string(memory_.size()));
-      }
-
       ev_next_ = e + 1;
       work_ += 1;
-      for (std::size_t i = 0; i < nsync; ++i) sync[i]->on_step(*e);
       if (ev_next_ == evs_cap) [[unlikely]] {
         // Sub-batch full: deliver and recycle so the buffer stays
         // L1-resident (see kEventBatch).
@@ -310,7 +301,18 @@ void Simulator::flush_observers_slow() {
   // Mark delivered BEFORE fanning out: a re-entrant flush from inside an
   // observer then no-ops instead of double-delivering.
   ev_flushed_ = ev_next_;
-  for (StepObserver* o : batch_obs_) o->on_steps(batch);
+  observers_.on_steps(batch);
+}
+
+void Simulator::throw_oob(std::size_t p) {
+  // Restore the resume-slot invariant (the unfinished processor's slot
+  // holds its next handle) before faulting, as the single-step engine
+  // leaves it.
+  resume_slots_[p] = std::exchange(oob_resume_, {});
+  oob_fault_ = false;
+  throw std::out_of_range("apex::sim::Memory: address " +
+                          std::to_string(oob_addr_) + " >= size " +
+                          std::to_string(memory_.size()));
 }
 
 void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
@@ -368,13 +370,18 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
       }
       // Clear before resuming: a suspension re-stores the slot (and the
       // awaiter accounts the step), so a slot still null afterwards means
-      // the coroutine ran to completion or captured an exception on the
-      // way to final_suspend — the two rare outcomes share one branch and
-      // the common path probes no frame or ProcState lines at all.
+      // the coroutine ran to completion, captured an exception on the way
+      // to final_suspend, or had its op refused as out of range (the
+      // awaiter clears the slot then) — the rare outcomes share one branch
+      // and the common path probes no frame or ProcState lines at all.
       slots[p] = {};
       h.resume();
 
       if (!slots[p]) [[unlikely]] {
+        if (oob_fault_) [[unlikely]] {
+          ++deads;  // the tick is consumed, the work is not
+          throw_oob(p);
+        }
         ProcState& ps = procs_[p];
         const auto top = ps.task.handle();
         if (top.promise().exception) [[unlikely]]
@@ -422,14 +429,6 @@ Simulator::RunResult Simulator::run_batched(
   // stable until the next out-of-band extend(); instrumented runs
   // additionally route each step into the batch event buffer via ev_next_.
   if (instrumented) {
-    // Partition the chain once per run: synchronous observers keep exact
-    // per-step delivery (they read live simulator/memory state); the rest
-    // get batched spans at flush points.  Registration order is preserved
-    // within each class.
-    sync_obs_.clear();
-    batch_obs_.clear();
-    for (StepObserver* o : observers_.members())
-      (o->step_synchronous() ? sync_obs_ : batch_obs_).push_back(o);
     if (event_buf_.size() < kEventBatch) event_buf_.resize(kEventBatch);
     ev_next_ = event_buf_.data();
     ev_flushed_ = event_buf_.data();
@@ -437,6 +436,8 @@ Simulator::RunResult Simulator::run_batched(
   for (auto& ps : procs_) {
     ps.ctx->fast_cells_ = memory_.data();
     ps.ctx->fast_words_ = memory_.size();
+    ps.ctx->watch_lo_ = watch_lo_;
+    ps.ctx->watch_len_ = watch_len_;
     ps.ctx->ev_cur_ = instrumented ? &ev_next_ : nullptr;
     ps.ctx->charge_local_twice_ = double_charge;
   }
@@ -540,6 +541,9 @@ Simulator::RunResult Simulator::run(std::uint64_t max_steps,
       procs_[i].ctx->resume_slot_ = &resume_slots_[i];
   }
   if (check_interval == 0) check_interval = 1;
+  // SubTask frames created by this run's protocol code come from (and
+  // return to) this simulator's pool.
+  const FramePool::Scope frames(&frames_);
 
   if (engine_ == GrantEngine::kSingleStep)
     return run_single_step(max_steps, stop, check_interval);
@@ -551,6 +555,12 @@ void Ctx::bump_extra_work() noexcept { sim_->work_ += 1; }
 void Ctx::flag_oob(std::size_t addr) noexcept {
   sim_->oob_fault_ = true;
   sim_->oob_addr_ = addr;
+  sim_->oob_resume_ = std::exchange(*resume_slot_, {});
+}
+
+void Ctx::notify_write(std::size_t addr, const Cell& before,
+                       const Cell& after) {
+  sim_->watcher_->on_write(addr, before, after);
 }
 
 std::size_t Ctx::nprocs() const noexcept { return sim_->nprocs(); }

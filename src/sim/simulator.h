@@ -30,6 +30,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/frame_pool.h"
 #include "sim/memory.h"
 #include "sim/observer.h"
 #include "sim/proc.h"
@@ -120,6 +121,16 @@ class Simulator {
   void remove_observer(StepObserver* obs) { observers_.remove(obs); }
   void clear_observers() noexcept { observers_.clear(); }
 
+  /// Watch writes into [lo, hi): `w` is called at the atomic point of each
+  /// one (see WriteWatcher), on every engine, with or without observers.
+  /// One watch per simulator; a later call replaces it, and a null `w` or
+  /// an empty range removes it.  Set it between run() calls.
+  void watch_writes(std::size_t lo, std::size_t hi, WriteWatcher* w) noexcept {
+    watcher_ = w;
+    watch_lo_ = lo;
+    watch_len_ = w != nullptr && hi > lo ? hi - lo : 0;
+  }
+
   /// Deliver any buffered-but-undelivered step events down the deferred
   /// part of the observer chain NOW (exactly once, in order).  The batched
   /// engine flushes automatically at batch boundaries, stop-predicate
@@ -157,10 +168,9 @@ class Simulator {
 
   /// Consume buffered grants [buf_pos_, end) through the batched
   /// instrumented path: ops executed inline by the awaiters (which also
-  /// fill the batch event buffer through cur_ev_), events flushed as one
-  /// on_steps(span) at every exit — synchronous observers still get
-  /// per-step on_step at the exact step time.  Returns on exhaustion, stop
-  /// request, or last processor finish.
+  /// fill the batch event buffer through ev_cur_), events flushed as one
+  /// on_steps(span) at every exit.  Returns on exhaustion, stop request,
+  /// or last processor finish.
   /// `poll_on_dead`: the batch began exactly on a stop-predicate boundary,
   /// so a grant to a finished processor before any live grant must return
   /// to the caller for a re-poll — the single-step engine re-evaluates the
@@ -170,10 +180,15 @@ class Simulator {
                            bool poll_on_dead, RunResult& res);
 
   /// Same, through the no-observer fast path: no StepEvent construction,
-  /// ops executed inline by the awaiters against raw memory, invariant
-  /// pointers hoisted out of the loop.
+  /// ops executed inline (bound-checked) by the awaiters against raw
+  /// memory, invariant pointers hoisted out of the loop.
   void consume_batch_fast(std::size_t end, bool double_charge,
                           bool poll_on_dead, RunResult& res);
+
+  /// Fault the grant to processor p whose awaiter flagged an out-of-range
+  /// address: restore p's resume slot and throw std::out_of_range, as
+  /// checked Memory::at does on the single-step engine.
+  [[noreturn]] void throw_oob(std::size_t p);
 
   /// Refill the grant buffer from the schedule (at most one fill() call).
   void refill_grants();
@@ -197,6 +212,10 @@ class Simulator {
                             const std::function<bool()>& stop,
                             std::uint64_t check_interval);
 
+  /// SubTask frame pool (see frame_pool.h).  Declared before procs_ so it
+  /// outlives every frame: destroying the processors' coroutines returns
+  /// their nested frames here.
+  FramePool frames_;
   SeedTree seeds_;
   Memory memory_;
   std::unique_ptr<Schedule> schedule_;
@@ -242,12 +261,14 @@ class Simulator {
   StepEvent* ev_flushed_ = nullptr;
   /// Out-of-range fault raised by an awaiter (see Ctx::flag_oob): the op
   /// was refused before executing; the scheduler throws for that grant.
+  /// oob_resume_ holds the faulting processor's resume handle meanwhile.
   bool oob_fault_ = false;
   std::size_t oob_addr_ = 0;
-  /// Per-run partition of observers_ (rebuilt by run_batched): synchronous
-  /// members get per-step on_step, the rest get batched on_steps spans.
-  std::vector<StepObserver*> sync_obs_;
-  std::vector<StepObserver*> batch_obs_;
+  std::coroutine_handle<> oob_resume_{};
+  /// The write watch (see watch_writes); watch_len_ == 0 means none.
+  WriteWatcher* watcher_ = nullptr;
+  std::size_t watch_lo_ = 0;
+  std::size_t watch_len_ = 0;
 };
 
 }  // namespace apex::sim

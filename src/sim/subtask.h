@@ -14,13 +14,29 @@
 //   - When the child co_returns, its final awaiter symmetric-transfers back
 //     to the parent, which continues inside the same grant (returning from a
 //     sub-procedure costs no model step — only atomic ops cost work).
+//
+// Frames come from the running Simulator's FramePool (see frame_pool.h).
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
+#include "sim/frame_pool.h"
+
 namespace apex::sim {
+
+/// Base of every SubTask promise: routes the coroutine frame through the
+/// running simulator's frame pool.
+struct PooledFrame {
+  static void* operator new(std::size_t size) {
+    return FramePool::allocate(size);
+  }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    FramePool::deallocate(frame, size);
+  }
+};
 
 template <typename T>
 class SubTask {
@@ -37,7 +53,7 @@ class SubTask {
     void await_resume() const noexcept {}
   };
 
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation = std::noop_coroutine();
     T value{};
     std::exception_ptr exception;
@@ -99,7 +115,7 @@ class SubTask<void> {
     void await_resume() const noexcept {}
   };
 
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation = std::noop_coroutine();
     std::exception_ptr exception;
 

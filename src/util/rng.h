@@ -35,11 +35,38 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   result_type operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+
+  // next() and below() are defined inline: the protocol coroutines draw a
+  // task index per cycle, so an out-of-line call per draw showed up in the
+  // simulator's per-step cost.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    std::uint64_t l = static_cast<std::uint64_t>(m);
+    if (l < bound) [[unlikely]] {
+      const std::uint64_t t = -bound % bound;
+      while (l < t) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::uint64_t range(std::uint64_t lo, std::uint64_t hi) noexcept;
@@ -64,6 +91,10 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

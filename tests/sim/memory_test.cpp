@@ -82,13 +82,13 @@ TEST(Memory, ClearRejectsRangePastEndAndOverflow) {
   EXPECT_EQ(m.at(3).value, 1u);
 }
 
-TEST(Memory, UncheckedAccessMatchesChecked) {
+TEST(Memory, RawDataAliasesCheckedCells) {
   Memory m(4);
   m.at(1) = Cell{5, 6};
-  EXPECT_EQ(m.at_unchecked(1), m.at(1));
-  m.at_unchecked(2) = Cell{7, 8};
+  EXPECT_EQ(m.data()[1], m.at(1));
+  m.data()[2] = Cell{7, 8};
   EXPECT_EQ(m.at(2).value, 7u);
-  EXPECT_EQ(m.data()[2].stamp, 8u);
+  EXPECT_EQ(m.at(2).stamp, 8u);
 }
 
 TEST(Memory, CellEquality) {

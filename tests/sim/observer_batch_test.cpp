@@ -1,12 +1,14 @@
 // Flush-boundary semantics of the batched observer path (observer.h's
 // delivery contract made executable): exactly-once delivery across sliced
 // run() calls and mid-batch exits, flush-then-throw on every fault class,
-// span boundaries as pure framing, the step_synchronous escape hatch, and
-// stream equality against the single-step reference engine.
+// span boundaries as pure framing, stream equality against the single-step
+// reference engine, and the write watch that serves consumers needing live
+// state at the exact step.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -39,22 +41,35 @@ struct Recorder final : StepObserver {
   }
 };
 
-/// Per-step recorder that demands exact-step delivery and, for every write,
-/// re-reads the LIVE memory cell at delivery time.  On the synchronous path
-/// the live cell always equals ev.after; under deferred delivery a later
-/// write to the same cell has already landed.
+/// Per-step recorder that, for every write, re-reads the LIVE memory cell
+/// at delivery time.  Under deferred delivery a later write to the same
+/// cell may already have landed.
 struct LiveCellProbe final : StepObserver {
-  explicit LiveCellProbe(const Simulator& s, bool sync)
-      : sim(&s), synchronous(sync) {}
+  explicit LiveCellProbe(const Simulator& s) : sim(&s) {}
   const Simulator* sim;
-  bool synchronous;
   std::size_t writes_seen = 0;
   std::size_t live_matches = 0;
-  bool step_synchronous() const noexcept override { return synchronous; }
   void on_step(const StepEvent& ev) override {
     if (ev.op.kind != Op::Kind::Write) return;
     ++writes_seen;
     live_matches += sim->memory().at(ev.op.addr) == ev.after;
+  }
+};
+
+/// A watched write as the watch reports it, keyed by its step index.
+using WriteKey = std::tuple<std::uint64_t, std::size_t, Cell, Cell>;
+
+/// Write watch that records every call and checks live memory against the
+/// reported after-cell at the moment of the call.
+struct WatchRecorder final : WriteWatcher {
+  explicit WatchRecorder(const Simulator& s) : sim(&s) {}
+  const Simulator* sim;
+  std::vector<WriteKey> writes;
+  std::size_t live_matches = 0;
+  void on_write(std::size_t addr, const Cell& before,
+                const Cell& after) override {
+    writes.emplace_back(sim->total_work(), addr, before, after);
+    live_matches += sim->memory().at(addr) == after;
   }
 };
 
@@ -248,39 +263,129 @@ TEST(ObserverBatch, OutOfRangeAddressFaultsWithoutEventAndMatchesReference) {
   EXPECT_EQ(batched.first.size(), 6u);
 }
 
-// --- The step_synchronous escape hatch --------------------------------------
+// --- The write watch ---------------------------------------------------------
 
-TEST(ObserverBatch, SynchronousObserverSeesLiveStateAtEachStep) {
+/// Writes to cells 0..5 in a fixed per-proc pattern, so a watch on [2, 5)
+/// sees some writes of every proc and misses others.
+ProcTask scatter_writer(Ctx& ctx, std::size_t offset) {
+  for (Word i = 1;; ++i) {
+    co_await ctx.write((offset + i) % 6, i, offset);
+    co_await ctx.local();
+    co_await ctx.read((offset + 2 * i) % 6);
+  }
+}
+
+TEST(WriteWatch, SeesExactlyTheInRangeWritesOnBothEngines) {
+  constexpr std::size_t kLo = 2, kHi = 5;
+  struct Outcome {
+    std::vector<WriteKey> watched;
+    std::vector<EventKey> events;
+  };
+  auto run_engine = [](GrantEngine engine, bool with_observer) {
+    auto sim = make_sim(3, 8, engine);
+    for (std::size_t p = 0; p < 3; ++p)
+      sim.spawn([p](Ctx& c) { return scatter_writer(c, p); });
+    WatchRecorder watch(sim);
+    Recorder rec;
+    sim.watch_writes(kLo, kHi, &watch);
+    if (with_observer) sim.add_observer(&rec);
+    sim.run(100);
+    sim.run(200);  // a second run keeps the same watch
+    EXPECT_EQ(watch.live_matches, watch.writes.size());
+    return Outcome{watch.writes, rec.events};
+  };
+  const Outcome reference = run_engine(GrantEngine::kSingleStep, true);
+  // Ground truth: the in-range writes of the reference event stream, in
+  // execution order, with their before/after cells.
+  std::vector<WriteKey> expected;
+  for (const EventKey& ev : reference.events) {
+    const std::size_t addr = std::get<3>(ev);
+    if (std::get<2>(ev) == Op::Kind::Write && addr >= kLo && addr < kHi)
+      expected.emplace_back(std::get<0>(ev), addr, std::get<6>(ev),
+                            std::get<7>(ev));
+  }
+  ASSERT_GT(expected.size(), 20u);
+  ASSERT_LT(expected.size(), 100u) << "some writes must fall outside";
+  EXPECT_EQ(reference.watched, expected);
+  EXPECT_EQ(run_engine(GrantEngine::kSingleStep, false).watched, expected);
+  EXPECT_EQ(run_engine(GrantEngine::kBatched, false).watched, expected);
+  const Outcome batched = run_engine(GrantEngine::kBatched, true);
+  EXPECT_EQ(batched.watched, expected);
+  EXPECT_EQ(batched.events, reference.events);
+}
+
+TEST(WriteWatch, SeesLiveMemoryWhileDeferredObserversLag) {
   auto sim = make_sim(2, 2, GrantEngine::kBatched);
   sim.spawn([&](Ctx& c) { return incrementer(c, 0, 50); });
   sim.spawn([&](Ctx& c) { return incrementer(c, 0, 50); });
-  LiveCellProbe sync_probe(sim, /*sync=*/true);
-  LiveCellProbe batch_probe(sim, /*sync=*/false);
-  sim.add_observer(&sync_probe);
-  sim.add_observer(&batch_probe);
+  WatchRecorder watch(sim);
+  LiveCellProbe probe(sim);
+  sim.watch_writes(0, 1, &watch);
+  sim.add_observer(&probe);
   sim.run(150);
-  ASSERT_GT(sync_probe.writes_seen, 10u);
-  EXPECT_EQ(sync_probe.live_matches, sync_probe.writes_seen)
-      << "synchronous delivery must observe post-step memory exactly";
-  EXPECT_EQ(batch_probe.writes_seen, sync_probe.writes_seen);
-  EXPECT_LT(batch_probe.live_matches, batch_probe.writes_seen)
+  ASSERT_GT(watch.writes.size(), 10u);
+  EXPECT_EQ(watch.live_matches, watch.writes.size())
+      << "the watch must observe post-write memory exactly";
+  EXPECT_EQ(probe.writes_seen, watch.writes.size());
+  EXPECT_LT(probe.live_matches, probe.writes_seen)
       << "two procs racing one cell: deferred delivery must lag live memory "
          "for at least one write";
 }
 
-TEST(ObserverBatch, MixedChainDeliversToBothExactlyOnce) {
-  auto sim = make_sim(2, 4, GrantEngine::kBatched);
+TEST(WriteWatch, RemovedWatchIsNotCalled) {
+  auto sim = make_sim(1, 4, GrantEngine::kBatched);
   sim.spawn([&](Ctx& c) { return mixed_proc(c, 0); });
-  sim.spawn([&](Ctx& c) { return mixed_proc(c, 1); });
-  Recorder batch_rec;
-  LiveCellProbe sync_probe(sim, /*sync=*/true);
-  sim.add_observer(&batch_rec);
-  sim.add_observer(&sync_probe);
-  sim.run(300);
-  EXPECT_EQ(batch_rec.events.size(), 300u);
-  // mixed_proc writes every 3rd step; two procs -> 100 writes total.
-  EXPECT_EQ(sync_probe.writes_seen, 100u);
-  EXPECT_EQ(sync_probe.live_matches, sync_probe.writes_seen);
+  WatchRecorder watch(sim);
+  sim.watch_writes(0, 4, &watch);
+  sim.run(30);
+  EXPECT_EQ(watch.writes.size(), 10u);
+  sim.watch_writes(0, 4, nullptr);
+  sim.run(30);
+  EXPECT_EQ(watch.writes.size(), 10u);
+}
+
+TEST(ObserverBatch, OutOfRangeFaultOnFastPathMatchesReference) {
+  // No observer: the batched engine runs its fast path, whose awaiters
+  // bound-check too.  The fault lands on the same grant with the same work
+  // charged, and the simulator continues from the same state.
+  struct Outcome {
+    std::uint64_t ticks_at_fault, work_at_fault, ticks, work;
+    std::vector<std::uint64_t> proc_steps;
+    Cell cell;
+  };
+  auto run_engine = [](GrantEngine engine) {
+    auto sim = make_sim(2, 4, engine);
+    sim.spawn([&](Ctx& c) { return oob_reader(c, 3, 99); });
+    sim.spawn([&](Ctx& c) { return incrementer(c, 0, 20); });
+    Outcome out{};
+    try {
+      sim.run(1000);
+      ADD_FAILURE() << "out-of-range read did not fault";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find("address 99"), std::string::npos);
+    }
+    out.ticks_at_fault = sim.ticks();
+    out.work_at_fault = sim.total_work();
+    EXPECT_TRUE(sim.run(1000).all_finished);
+    out.ticks = sim.ticks();
+    out.work = sim.total_work();
+    out.proc_steps = {sim.proc_steps(0), sim.proc_steps(1)};
+    out.cell = sim.memory().at(0);
+    return out;
+  };
+  const Outcome batched = run_engine(GrantEngine::kBatched);
+  const Outcome single = run_engine(GrantEngine::kSingleStep);
+  // Round-robin: 3 locals of proc 0 interleaved with 3 steps of proc 1;
+  // the 7th grant faults without charging work.
+  EXPECT_EQ(single.ticks_at_fault, 7u);
+  EXPECT_EQ(single.work_at_fault, 6u);
+  EXPECT_EQ(batched.ticks_at_fault, single.ticks_at_fault);
+  EXPECT_EQ(batched.work_at_fault, single.work_at_fault);
+  EXPECT_EQ(batched.ticks, single.ticks);
+  EXPECT_EQ(batched.work, single.work);
+  EXPECT_EQ(batched.proc_steps, single.proc_steps);
+  EXPECT_EQ(batched.cell, single.cell);
+  EXPECT_EQ(single.cell.value, 20u);
 }
 
 // --- flush_observers() outside a consume loop --------------------------------

@@ -158,5 +158,89 @@ TEST(SubTask, LoopedSubtaskCalls) {
   EXPECT_EQ(sim.total_work(), 101u);
 }
 
+// Endless nested work: every suspension sits three SubTask levels deep
+// (deep_loop -> sum_four -> sum_two) with a live frame at each level.
+SubTask<Word> deep_loop(Ctx& ctx, std::size_t base) {
+  Word total = 0;
+  for (;;) {
+    total += co_await sum_four(ctx, base);
+    co_await write_one(ctx, base + 4, total);
+  }
+}
+
+ProcTask endless(Ctx& ctx, std::size_t base) {
+  (void)co_await deep_loop(ctx, base);
+}
+
+TEST(SubTask, DestroyingSimulatorMidRunFreesSuspendedFrames) {
+  // Destroy simulators while every processor is suspended inside nested
+  // SubTasks, on both engines and with another simulator's pool running
+  // (a nested run), so frames return to the pool they came from.  Under
+  // ASan a frame freed after its pool, or a pool chunk leaked, is a
+  // report.
+  for (auto engine : {GrantEngine::kBatched, GrantEngine::kSingleStep}) {
+    SimConfig cfg{3, 16, 1};
+    cfg.engine = engine;
+    auto outer = std::make_unique<Simulator>(
+        cfg, std::make_unique<RoundRobinSchedule>(3));
+    std::unique_ptr<Simulator> inner;
+    outer->spawn([&](Ctx& c) -> ProcTask {
+      return [](Ctx& ctx, std::unique_ptr<Simulator>& in,
+                SimConfig icfg) -> ProcTask {
+        for (int k = 0;; ++k) {
+          co_await write_one(ctx, 12, static_cast<Word>(k));
+          if (k == 5) {
+            // A simulator created, run and destroyed mid-grant of another.
+            in = std::make_unique<Simulator>(
+                icfg, std::make_unique<RoundRobinSchedule>(3));
+            for (std::size_t p = 0; p < 3; ++p)
+              in->spawn([p](Ctx& c2) { return endless(c2, p); });
+            in->run(97);
+            EXPECT_EQ(in->total_work(), 97u);
+            in.reset();
+          }
+        }
+      }(c, inner, cfg);
+    });
+    outer->spawn([](Ctx& c) { return endless(c, 0); });
+    outer->spawn([](Ctx& c) { return endless(c, 6); });
+    outer->run(250);
+    EXPECT_EQ(outer->total_work(), 250u);
+    outer.reset();
+  }
+}
+
+TEST(FramePool, RecyclesFramesToTheOwningPool) {
+  FramePool a, b;
+  void* first = nullptr;
+  {
+    const FramePool::Scope in_a(&a);
+    first = FramePool::allocate(200);
+    FramePool::deallocate(first, 200);
+    void* again = FramePool::allocate(200);
+    EXPECT_EQ(again, first) << "same size class must reuse the freed frame";
+    {
+      // Freed while another pool runs: still goes back to pool a.
+      const FramePool::Scope in_b(&b);
+      FramePool::deallocate(again, 200);
+      void* from_b = FramePool::allocate(200);
+      EXPECT_NE(from_b, first);
+      FramePool::deallocate(from_b, 200);
+    }
+    EXPECT_EQ(FramePool::allocate(200), first);
+    FramePool::deallocate(first, 200);
+  }
+  // No pool running: the global heap, and freeing it needs no pool.
+  void* loose = FramePool::allocate(64);
+  {
+    const FramePool::Scope in_a(&a);
+    FramePool::deallocate(loose, 64);
+  }
+  // Too large for the size classes: the global heap even inside a scope.
+  const FramePool::Scope in_a(&a);
+  void* big = FramePool::allocate(1 << 16);
+  FramePool::deallocate(big, 1 << 16);
+}
+
 }  // namespace
 }  // namespace apex::sim

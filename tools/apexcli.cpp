@@ -300,7 +300,13 @@ int run_program(const pram::Program& p, const EngineChoice& e,
                                                               : "batched",
                 exec::scheme_name(e.scheme),
                 sim::schedule_kind_name(e.sim.schedule));
-    const auto chk = exec::run_checked(p, e.scheme, e.sim);
+    exec::CheckedRun chk;
+    try {
+      chk = exec::run_checked(p, e.scheme, e.sim);
+    } catch (const std::exception& ex) {
+      std::fprintf(stderr, "%s\n", ex.what());
+      return 2;
+    }
     std::printf("  completed=%s work=%llu incomplete_tasks=%llu "
                 "stamp_misses=%llu\n",
                 chk.result.completed ? "yes" : "NO",
