@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
-#include <sstream>
+#include <new>
 #include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
@@ -45,18 +48,62 @@ struct SegInfo {
   std::uint32_t len = 0;
 };
 
+/// Lowers and EREW-checks one step at a time.  prepare() resolves the
+/// declarations, the parser then hands each step to add_step as it closes,
+/// and finish() builds the Program.
 class Analyzer {
  public:
   Analyzer(const ProgramSrc& src, std::vector<Diagnostic>& diags)
       : src_(src), diags_(diags) {}
 
-  std::optional<pram::Program> run() {
+  /// Layout, size limits and segments, from the declarations alone.  False
+  /// when a size limit is crossed: then nothing sized by the declarations
+  /// may be allocated, and no step is lowered.
+  bool prepare() {
     resolve_layout();
-    if (!within_size_limits()) return std::nullopt;
+    if (!within_size_limits()) return false;
     resolve_segments();
-    std::vector<pram::Step> steps = build_steps();
+    steps_.reserve(src_.nsteps);
+    placed_.assign(static_cast<std::size_t>(procs_), nullptr);
+    reads_.assign(static_cast<std::size_t>(nvars_), 0);
+    writes_.assign(static_cast<std::size_t>(nvars_), 0);
+    return true;
+  }
+
+  /// Lower the next step into the program and EREW-check it.  The lanes
+  /// die when this returns, so placed_ is cleared before it does.
+  void add_step(const StepSrc& st) {
+    pram::Step& step = steps_.emplace_back();
+    step.instrs.assign(static_cast<std::size_t>(procs_), pram::Instr::nop());
+    for (const LaneSrc& lane : st.lanes) {
+      if (lane.lane >= procs_) {
+        error(lane.lane_loc, "lane " + std::to_string(lane.lane) +
+                                 " out of range (procs=" +
+                                 std::to_string(procs_) + ")");
+        continue;
+      }
+      if (placed_[lane.lane] != nullptr) {
+        error(lane.lane_loc,
+              "duplicate lane " + std::to_string(lane.lane) + " in step");
+        continue;
+      }
+      const auto ins = lower(lane);
+      if (!ins) continue;
+      step.instrs[lane.lane] = *ins;
+      placed_[lane.lane] = &lane;
+    }
+    // EREW findings count only when no other error fires anywhere in the
+    // file, so they wait in erew_; after any other error they are moot.
+    if (diags_.empty())
+      check_erew(step, static_cast<std::uint32_t>(steps_.size()));
+    std::fill(placed_.begin(), placed_.end(), nullptr);
+  }
+
+  /// The program, or nullopt with the diagnostics: the other errors if
+  /// there are any, else the EREW errors in step order.
+  std::optional<pram::Program> finish() {
     if (!diags_.empty()) return std::nullopt;
-    check_erew(steps);
+    diags_ = std::move(erew_);
     if (!diags_.empty()) return std::nullopt;
     // Our checks mirror Program's own validation, so this construction
     // cannot throw; the try is a backstop so a checker gap still surfaces
@@ -64,7 +111,9 @@ class Analyzer {
     try {
       return pram::Program(static_cast<std::size_t>(procs_),
                            static_cast<std::size_t>(nvars_),
-                           std::move(steps));
+                           std::move(steps_));
+    } catch (const std::bad_alloc&) {
+      throw;  // out of memory is the caller's to report, not a checker gap
     } catch (const std::exception& e) {
       diags_.push_back({src_.name_loc,
                         std::string("internal: program validation failed "
@@ -148,7 +197,7 @@ class Analyzer {
                 std::to_string(kMaxVars));
       ok = false;
     }
-    const std::uint64_t nsteps = src_.steps.size();
+    const std::uint64_t nsteps = src_.nsteps;
     if (nsteps != 0 && procs_ > kMaxSlots / nsteps) {
       error(src_.procs ? src_.procs_loc : src_.name_loc,
             "program too large: procs=" + std::to_string(procs_) + " x " +
@@ -240,40 +289,6 @@ class Analyzer {
 
   // ---- codegen ---------------------------------------------------------
 
-  /// One resolved lane plus the source it came from (for EREW locations).
-  struct Placed {
-    const LaneSrc* src = nullptr;
-    std::size_t step = 0;
-  };
-
-  std::vector<pram::Step> build_steps() {
-    std::vector<pram::Step> steps(src_.steps.size());
-    placed_.assign(src_.steps.size(), {});
-    for (std::size_t s = 0; s < src_.steps.size(); ++s) {
-      steps[s].instrs.assign(static_cast<std::size_t>(procs_),
-                             pram::Instr::nop());
-      placed_[s].assign(static_cast<std::size_t>(procs_), nullptr);
-      for (const LaneSrc& lane : src_.steps[s].lanes) {
-        if (lane.lane >= procs_) {
-          error(lane.lane_loc, "lane " + std::to_string(lane.lane) +
-                                   " out of range (procs=" +
-                                   std::to_string(procs_) + ")");
-          continue;
-        }
-        if (placed_[s][lane.lane] != nullptr) {
-          error(lane.lane_loc, "duplicate lane " + std::to_string(lane.lane) +
-                                   " in step");
-          continue;
-        }
-        const auto ins = lower(lane);
-        if (!ins) continue;
-        steps[s].instrs[lane.lane] = *ins;
-        placed_[s][lane.lane] = &lane;
-      }
-    }
-    return steps;
-  }
-
   std::optional<pram::Instr> lower(const LaneSrc& lane) {
     using pram::Instr;
     using pram::OpCode;
@@ -359,71 +374,68 @@ class Analyzer {
 
   // ---- EREW (source-located mirror of Program::validate_erew) ----------
 
-  void check_erew(const std::vector<pram::Step>& steps) {
-    std::vector<std::uint32_t> reads(nvars_, 0), writes(nvars_, 0);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs;
-    struct Write { std::uint32_t var; const LaneSrc* lane; };
-    std::vector<Write> written;
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-      const std::uint32_t epoch = static_cast<std::uint32_t>(s) + 1;
-      step_segs.clear();
-      written.clear();
-      for (std::size_t t = 0; t < steps[s].instrs.size(); ++t) {
-        const pram::Instr& ins = steps[s].instrs[t];
-        const LaneSrc* lane = placed_[s][t];
-        if (lane == nullptr) continue;  // implicit nop
-        const int r = pram::reads_of(ins.op);
-        if (r >= 1) mark_read(reads, epoch, ins.x, lane->x.loc);
-        if (r >= 2 && ins.op != pram::OpCode::kGather)
-          mark_read(reads, epoch, ins.y, lane->y.loc);
-        if (r >= 3) mark_read(reads, epoch, ins.c, lane->c.loc);
-        if (pram::reads_window(ins.op)) {
-          // The whole declared window counts as read (the executed index is
-          // data-dependent), so overlap with any other read is a conflict.
-          for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
-            mark_read(reads, epoch, v, lane->y.loc);
-        }
-        if (pram::reads_dyn_window(ins.op)) {
-          const auto seg = std::make_pair(pram::dyn_seg_base(ins),
-                                          pram::dyn_seg_len(ins));
-          if (std::find(step_segs.begin(), step_segs.end(), seg) ==
-              step_segs.end())
-            step_segs.push_back(seg);
-        }
-        if (pram::writes_dest(ins.op)) {
-          if (writes[ins.z] == epoch) {
-            error(lane->z.loc, "EREW violation: variable v" +
-                                   std::to_string(ins.z) +
-                                   " written by more than one thread in this "
-                                   "step");
-          } else {
-            writes[ins.z] = epoch;
-          }
-          written.push_back({ins.z, lane});
-        }
+  /// Check the step whose index is `epoch` - 1: a variable already read
+  /// (written) in it has reads_ (writes_) equal to `epoch`.
+  void check_erew(const pram::Step& step, std::uint32_t epoch) {
+    step_segs_.clear();
+    written_.clear();
+    for (std::size_t t = 0; t < step.instrs.size(); ++t) {
+      const pram::Instr& ins = step.instrs[t];
+      const LaneSrc* lane = placed_[t];
+      if (lane == nullptr) continue;  // implicit nop
+      const int r = pram::reads_of(ins.op);
+      if (r >= 1) mark_read(epoch, ins.x, lane->x.loc);
+      if (r >= 2 && ins.op != pram::OpCode::kGather)
+        mark_read(epoch, ins.y, lane->y.loc);
+      if (r >= 3) mark_read(epoch, ins.c, lane->c.loc);
+      if (pram::reads_window(ins.op)) {
+        // The whole declared window counts as read (the executed index is
+        // data-dependent), so overlap with any other read is a conflict.
+        for (std::uint32_t v = ins.y; v < ins.y + ins.c; ++v)
+          mark_read(epoch, v, lane->y.loc);
       }
-      // Segment cells must stay frozen while any gather_dyn of this step
-      // may read them.
-      for (const auto& [base, len] : step_segs)
-        for (const Write& w : written)
-          if (w.var >= base && w.var - base < len)
-            error(w.lane->z.loc,
-                  "variable v" + std::to_string(w.var) +
-                      " written inside gather_dyn segment [v" +
-                      std::to_string(base) + ", v" +
-                      std::to_string(static_cast<std::uint64_t>(base) + len) +
-                      ")");
+      if (pram::reads_dyn_window(ins.op)) {
+        const auto seg = std::make_pair(pram::dyn_seg_base(ins),
+                                        pram::dyn_seg_len(ins));
+        if (std::find(step_segs_.begin(), step_segs_.end(), seg) ==
+            step_segs_.end())
+          step_segs_.push_back(seg);
+      }
+      if (pram::writes_dest(ins.op)) {
+        if (writes_[ins.z] == epoch) {
+          erew_.push_back({lane->z.loc,
+                           "EREW violation: variable v" +
+                               std::to_string(ins.z) +
+                               " written by more than one thread in this "
+                               "step"});
+        } else {
+          writes_[ins.z] = epoch;
+        }
+        written_.push_back({ins.z, lane});
+      }
     }
+    // Segment cells must stay frozen while any gather_dyn of this step may
+    // read them.
+    for (const auto& [base, len] : step_segs_)
+      for (const Write& w : written_)
+        if (w.var >= base && w.var - base < len)
+          erew_.push_back(
+              {w.lane->z.loc,
+               "variable v" + std::to_string(w.var) +
+                   " written inside gather_dyn segment [v" +
+                   std::to_string(base) + ", v" +
+                   std::to_string(static_cast<std::uint64_t>(base) + len) +
+                   ")"});
   }
 
-  void mark_read(std::vector<std::uint32_t>& reads, std::uint32_t epoch,
-                 std::uint32_t var, const Loc& loc) {
-    if (reads[var] == epoch) {
-      error(loc, "EREW violation: variable v" + std::to_string(var) +
-                     " read by more than one thread in this step");
+  void mark_read(std::uint32_t epoch, std::uint32_t var, const Loc& loc) {
+    if (reads_[var] == epoch) {
+      erew_.push_back({loc, "EREW violation: variable v" +
+                                std::to_string(var) +
+                                " read by more than one thread in this step"});
       return;
     }
-    reads[var] = epoch;
+    reads_[var] = epoch;
   }
 
   const ProgramSrc& src_;
@@ -433,44 +445,95 @@ class Analyzer {
   std::unordered_map<std::string_view, VarInfo> names_;
   std::unordered_map<std::string_view, SegInfo> segs_;
   std::optional<Loc> vars_limit_loc_;  ///< Declaration crossing kMaxVars.
-  std::vector<std::vector<const LaneSrc*>> placed_;  ///< [step][thread]
+  std::vector<pram::Step> steps_;      ///< The lowered program so far.
+  // Per step: the lane lowered into each thread (null = implicit nop),
+  // the distinct gather_dyn segments, and the writes.
+  std::vector<const LaneSrc*> placed_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> step_segs_;
+  struct Write {
+    std::uint32_t var;
+    const LaneSrc* lane;
+  };
+  std::vector<Write> written_;
+  // Across steps: the epoch (step index + 1) of each variable's last read
+  // and last write, and the EREW findings so far.
+  std::vector<std::uint32_t> reads_, writes_;
+  std::vector<Diagnostic> erew_;
 };
 
 }  // namespace
 
 CompileResult compile_source(const SourceFile& src) {
   CompileResult result;
-  // The parser pulls tokens straight from the lexer.  Lexical errors take
-  // precedence, as if the whole file were lexed first: a syntax error
-  // counts only if the rest of the file lexes cleanly, and the kEnd a
-  // lexical error leaves behind never produces a syntax error of its own.
-  Lexer lexer(src, result.diagnostics);
+  std::vector<Diagnostic>& diags = result.diagnostics;
+  // Pass 1 collects the declarations and the step count, skipping every
+  // step body.  It lexes the whole file, so a lexical error anywhere is
+  // known before anything else and is reported alone.
   std::vector<Diagnostic> syntax;
-  const auto tree = parse(lexer, syntax);
-  if (!tree) {
-    while (lexer.next().kind != TokKind::kEnd) {
+  std::optional<ProgramSrc> decls;
+  {
+    Lexer lexer(src, diags);
+    decls = parse_declarations(lexer, syntax);
+    if (!decls) {
+      while (lexer.next().kind != TokKind::kEnd) {
+      }
     }
-    if (result.diagnostics.empty()) result.diagnostics = std::move(syntax);
+  }
+  if (!diags.empty()) return result;
+  // Pass 2 parses every step body; once the declarations resolve within
+  // the size limits, each step is lowered and EREW-checked as it closes.
+  // The file lexed cleanly, so only the parser can report here, and its
+  // syntax error replaces every semantic finding.  A file pass 1 rejects
+  // fails here too, at its first syntax error.
+  std::vector<Diagnostic> no_lex_errors;
+  Lexer lexer(src, no_lex_errors);
+  syntax.clear();
+  std::optional<Analyzer> analyzer;
+  if (decls) {
+    analyzer.emplace(*decls, diags);
+    if (!analyzer->prepare()) analyzer.reset();
+  }
+  StepSink lower_step;
+  if (analyzer)
+    lower_step = [&analyzer](const StepSrc& st) { analyzer->add_step(st); };
+  if (!parse(lexer, syntax, lower_step) || !decls) {
+    diags = std::move(syntax);
     return result;
   }
-  if (!result.diagnostics.empty()) return result;
-  Analyzer analyzer(*tree, result.diagnostics);
-  result.program = analyzer.run();
+  if (analyzer) result.program = analyzer->finish();
   return result;
 }
 
 CompileResult compile_file(const std::string& path, SourceFile& out_src) {
   out_src.name = path;
   out_src.text.clear();
+  CompileResult result;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    CompileResult result;
     result.diagnostics.push_back({Loc{}, "cannot open '" + path + "'"});
     return result;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out_src.text = buf.str();
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  bool ok = false;
+  if (!ec) {
+    // A regular file: one read of its size, so the text is held once.
+    out_src.text.resize(static_cast<std::size_t>(size));
+    in.read(out_src.text.data(), static_cast<std::streamsize>(size));
+    ok = in.gcount() == static_cast<std::streamsize>(size);
+  } else if (ec != std::errc::is_a_directory) {
+    // A pipe or a device has no size: read it to its end.
+    out_src.text.assign(std::istreambuf_iterator<char>(in), {});
+    ok = !in.bad();
+  }
+  if (!ok) {
+    out_src.text.clear();
+    result.diagnostics.push_back(
+        {Loc{}, "cannot read '" + path + "'" +
+                    (ec == std::errc::is_a_directory ? ": " + ec.message()
+                                                     : std::string())});
+    return result;
+  }
   return compile_source(out_src);
 }
 

@@ -1,4 +1,7 @@
-// Semantic analysis + codegen: ProgramSrc -> validated pram::Program.
+// Semantic analysis + codegen: .pram source -> validated pram::Program,
+// one step at a time.  The declarations (a ProgramSrc) are resolved first;
+// then each step is lowered and EREW-checked as the parser closes it, so
+// the analysis holds one step of source lanes besides its output.
 //
 // Every rule pram::Program::validate_erew enforces at construction time is
 // re-checked here FIRST, against the source tree, so violations surface as
@@ -25,6 +28,13 @@
 // overflowing 32 bits (Instr stores uint32_t), lane indices out of range
 // or duplicated, missing/zero `procs`/`vars`.
 //
+// Diagnostics come in a fixed precedence: a lexical error is reported
+// alone; else the first syntax error alone; else the declaration errors
+// (layout, then size limits, then segments; a crossed size limit stops
+// the analysis there), then the lowering errors in source order; and only
+// when none of those fired, the EREW errors in step order (thread order
+// within a step).
+//
 // Compilation succeeds only when the diagnostic list is empty; the
 // returned Program has already passed its own constructor validation, so
 // downstream executors can trust it exactly like a hand-built kernel.
@@ -47,14 +57,17 @@ struct CompileResult {
   bool ok() const { return program.has_value(); }
 };
 
-/// Lex + parse + analyze + build in one call.  The parser pulls tokens
-/// from the lexer as it goes; the tokens and the source tree borrow `src`
-/// and die inside this call, so the result owns everything it holds and
-/// may outlive `src` (rendering its diagnostics needs `src` again).
+/// Lex + parse + analyze + build in one call, in two passes over `src`:
+/// the first collects the declarations and the step count (step bodies
+/// skipped), the second lowers each step as it closes.  The parser pulls
+/// tokens from the lexer as it goes; the tokens and the source tree borrow
+/// `src` and die inside this call, so the result owns everything it holds
+/// and may outlive `src` (rendering its diagnostics needs `src` again).
+/// Running out of memory throws std::bad_alloc.
 CompileResult compile_source(const SourceFile& src);
 
-/// Convenience: read `path` from disk and compile it.  A missing/unreadable
-/// file becomes a diagnostic at 1:1.  `out_src` receives the loaded source
+/// Convenience: read `path` from disk and compile it.  A missing or
+/// unreadable file (a directory, say) becomes a diagnostic at 1:1.  `out_src` receives the loaded source
 /// so callers can render diagnostics.
 CompileResult compile_file(const std::string& path, SourceFile& out_src);
 

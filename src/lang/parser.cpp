@@ -2,6 +2,7 @@
 
 #include <initializer_list>
 #include <string>
+#include <utility>
 
 namespace apex::lang {
 
@@ -61,8 +62,12 @@ class Cursor {
 
 class Parser {
  public:
-  Parser(Cursor cursor, std::vector<Diagnostic>& diags)
-      : in_(cursor), diags_(diags) {}
+  /// An empty `on_step` parses step bodies and drops them; `skip_bodies`
+  /// skips them to their '}' unparsed.
+  Parser(Cursor cursor, std::vector<Diagnostic>& diags,
+         StepSink on_step = {}, bool skip_bodies = false)
+      : in_(cursor), diags_(diags), on_step_(std::move(on_step)),
+        skip_bodies_(skip_bodies) {}
 
   std::optional<ProgramSrc> run() {
     ProgramSrc p;
@@ -173,16 +178,24 @@ class Parser {
       return true;
     }
     if (kw == "step") {
-      StepSrc st;
-      st.loc = take().loc;
+      step_.loc = take().loc;
       if (!expect(TokKind::kLBrace, "'{'")) return false;
-      while (!at(TokKind::kRBrace)) {
-        LaneSrc lane;
-        if (!parse_lane(lane)) return false;
-        st.lanes.push_back(std::move(lane));
+      if (skip_bodies_) {
+        while (!at(TokKind::kRBrace)) {
+          if (at(TokKind::kEnd)) {
+            error_here("expected '}', found end of input");
+            return false;
+          }
+          take();
+        }
+      } else {
+        step_.lanes.clear();
+        while (!at(TokKind::kRBrace))
+          if (!parse_lane(step_.lanes.emplace_back())) return false;
       }
       take();  // '}'
-      p.steps.push_back(std::move(st));
+      ++p.nsteps;
+      if (on_step_) on_step_(step_);
       return true;
     }
     error_here("expected a declaration or 'step', found " + describe(cur()));
@@ -269,12 +282,21 @@ class Parser {
 
   Cursor in_;
   std::vector<Diagnostic>& diags_;
+  StepSink on_step_;
+  bool skip_bodies_;
+  StepSrc step_;  ///< The step being parsed; its lane buffer is reused.
 };
 
 }  // namespace
 
-std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags) {
-  return Parser(Cursor(lexer), diags).run();
+std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags,
+                                const StepSink& on_step) {
+  return Parser(Cursor(lexer), diags, on_step).run();
+}
+
+std::optional<ProgramSrc> parse_declarations(Lexer& lexer,
+                                             std::vector<Diagnostic>& diags) {
+  return Parser(Cursor(lexer), diags, {}, true).run();
 }
 
 std::optional<ProgramSrc> parse(const std::vector<Token>& toks,

@@ -29,17 +29,27 @@
 // produces, so machine-generated kernels need no declarations.  Declared
 // names may not collide with keywords or the raw `v<digits>` pattern.
 //
-// The parser produces a faithful source-level tree (every operand keeps
-// its Loc); all semantic rules live in compile.h.  It reads tokens through
-// a cursor with one token of lookahead, either straight from a Lexer (the
-// streaming path compile_source takes) or from a token vector.
+// The parser hands each `step { ... }` to a StepSink as its closing brace
+// is read: the lanes sit in one buffer the parser reuses for every step,
+// so a ProgramSrc holds only the declarations and the step count, and no
+// parse keeps more than one step of lanes.  All semantic rules live in
+// compile.h.  The parser reads tokens through a cursor with one token of
+// lookahead, either straight from a Lexer (the streaming path
+// compile_source takes) or from a token vector.
 //
-// LIFETIME: every name in a ProgramSrc (program, declarations, refs,
-// segment uses) is a view into the SourceFile it was parsed from, which
-// must outlive the tree.
+// Declarations may follow the steps that use them, so compile_source runs
+// the same parser twice over one file: parse_declarations skips every step
+// body to its '}' and collects what the layout needs, then parse hands
+// each step to a sink that lowers it.
+//
+// LIFETIME: every name in a ProgramSrc, StepSrc or LaneSrc is a view into
+// the SourceFile it was parsed from, which must outlive them.  The lanes a
+// StepSink receives are valid only during that call.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -71,10 +81,14 @@ struct LaneSrc {
   Loc seg_loc;
 };
 
+/// One step as the parser hands it to a StepSink.
 struct StepSrc {
   Loc loc;
-  std::vector<LaneSrc> lanes;
+  std::vector<LaneSrc> lanes;  ///< Reused by the parser for the next step.
 };
+
+/// Called once per step, in source order, when its '}' has been read.
+using StepSink = std::function<void(const StepSrc&)>;
 
 struct VarDeclSrc {
   Loc loc;
@@ -99,17 +113,26 @@ struct ProgramSrc {
   Loc vars_loc;
   std::vector<VarDeclSrc> var_decls;
   std::vector<SegDeclSrc> seg_decls;
-  std::vector<StepSrc> steps;
+  std::size_t nsteps = 0;             ///< Steps in the file.
 };
 
-/// Parse the tokens `lexer` hands out.  Returns nullopt when a parse
-/// error was appended to `diags` (parsing stops at the first syntax error;
-/// semantic errors are batched later by the compiler).  A lexical error
-/// ends the stream early: the parser then sees kEnd, so the caller checks
-/// the lexer's diagnostics too (compile_source does).
-std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags);
+/// Parse the tokens `lexer` hands out, passing every step to `on_step`
+/// (if set).  Returns nullopt when a parse error was appended to `diags`
+/// (parsing stops at the first syntax error; semantic errors are batched
+/// later by the compiler).  A lexical error ends the stream early: the
+/// parser then sees kEnd, so the caller checks the lexer's diagnostics too
+/// (compile_source does).
+std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags,
+                                const StepSink& on_step = {});
 
-/// The same parser over a token vector ending in kEnd (as `lex` returns).
+/// The same parser with every step body skipped to its '}': collects the
+/// declarations and the step count.  It accepts every file `parse` does
+/// (lanes hold no '}'), so a syntax error here means `parse` fails too,
+/// though perhaps at an earlier token.
+std::optional<ProgramSrc> parse_declarations(Lexer& lexer,
+                                             std::vector<Diagnostic>& diags);
+
+/// `parse` over a token vector ending in kEnd (as `lex` returns).
 std::optional<ProgramSrc> parse(const std::vector<Token>& toks,
                                 std::vector<Diagnostic>& diags);
 

@@ -1,6 +1,7 @@
 #include "pram/program.h"
 
 #include <algorithm>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -186,6 +187,9 @@ std::string Program::to_string() const {
       os << "   T" << t << ": " << ins.to_string() << '\n';
     }
   }
+  // A stringbuf that cannot grow sets badbit and drops the rest of the
+  // text; a truncated dump must not pass for the program.
+  if (!os) throw std::bad_alloc();
   return os.str();
 }
 

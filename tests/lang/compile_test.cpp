@@ -286,5 +286,21 @@ TEST(CompileFile, MissingFileIsADiagnosticNotAThrow) {
   EXPECT_EQ(r.diagnostics[0].loc.line, 1u);
 }
 
+TEST(CompileFile, DirectoryIsAReadDiagnostic) {
+  SourceFile src;
+  const std::string dir = std::string(APEX_SOURCE_DIR) + "/tests/lang";
+  const auto r = compile_file(dir, src);
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(first_message(r), "cannot read '" + dir + "': Is a directory");
+}
+
+TEST(CompileFile, FileWithoutASizeIsReadToItsEnd) {
+  // A device (like a pipe) has no size; its empty text reaches the parser.
+  SourceFile src;
+  const auto r = compile_file("/dev/null", src);
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(first_message(r), "expected 'pram', found end of input");
+}
+
 }  // namespace
 }  // namespace apex::lang

@@ -76,6 +76,7 @@
 #include <iostream>
 #include <iterator>
 #include <map>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -329,6 +330,18 @@ int run_program(const pram::Program& p, const EngineChoice& e,
   return failure.empty() ? 0 : 1;
 }
 
+/// lang::compile_file for `exec` and `compile`.  Running out of memory is
+/// reported in one line and yields nullopt (exit 2), never std::terminate.
+std::optional<lang::CompileResult> compile_pram(const std::string& path,
+                                                lang::SourceFile& src) {
+  try {
+    return lang::compile_file(path, src);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "out of memory compiling '%s'\n", path.c_str());
+    return std::nullopt;
+  }
+}
+
 /// `apexcli exec FILE.pram`: compile a kernel-language source through the
 /// front-end and run it.  A deterministic program is additionally diffed
 /// bit-for-bit against the reference interpreter's replay from zero
@@ -342,13 +355,14 @@ int run_pram_file(const EngineChoice& e, const std::string& path) {
     return 2;
   }
   lang::SourceFile src;
-  const lang::CompileResult comp = lang::compile_file(path, src);
-  if (!comp.ok()) {
-    std::fputs(lang::render_diagnostics(src, comp.diagnostics).c_str(),
+  const std::optional<lang::CompileResult> comp = compile_pram(path, src);
+  if (!comp) return 2;
+  if (!comp->ok()) {
+    std::fputs(lang::render_diagnostics(src, comp->diagnostics).c_str(),
                stderr);
     return 1;
   }
-  const pram::Program& p = *comp.program;
+  const pram::Program& p = *comp->program;
   std::printf("exec: file=%s (%s) procs=%zu vars=%zu steps=%zu\n",
               path.c_str(), p.is_nondeterministic() ? "nondet" : "det",
               p.nthreads(), p.nvars(), p.nsteps());
@@ -426,21 +440,29 @@ int cmd_exec(const Args& a) {
 /// validated program's IR dump (pram::Program::to_string) goes to stdout —
 /// CI diffs this against committed goldens for every in-tree kernel.  On
 /// failure the file:line:col caret diagnostics go to stderr and the exit
-/// code is 1; usage errors (no file) exit 2.
+/// code is 1; usage errors (no file) and running out of memory exit 2.
 int cmd_compile(const Args& a) {
   if (a.positional.empty()) {
     std::fprintf(stderr, "compile: expected a .pram source file\n"
                          "run 'apexcli' with no arguments for usage\n");
     return 2;
   }
+  const std::string& path = a.positional[0];
   lang::SourceFile src;
-  const lang::CompileResult comp = lang::compile_file(a.positional[0], src);
-  if (!comp.ok()) {
-    std::fputs(lang::render_diagnostics(src, comp.diagnostics).c_str(),
+  const std::optional<lang::CompileResult> comp = compile_pram(path, src);
+  if (!comp) return 2;
+  if (!comp->ok()) {
+    std::fputs(lang::render_diagnostics(src, comp->diagnostics).c_str(),
                stderr);
     return 1;
   }
-  std::fputs(comp.program->to_string().c_str(), stdout);
+  try {
+    std::fputs(comp->program->to_string().c_str(), stdout);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "out of memory dumping the IR of '%s'\n",
+                 path.c_str());
+    return 2;
+  }
   return 0;
 }
 
