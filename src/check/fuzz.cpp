@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "agreement/testbed.h"
@@ -24,105 +25,141 @@ constexpr sim::Word kSupportMax = 1 << 20;
 /// close to the violation, large enough not to dominate wall time.
 constexpr std::uint64_t kPollInterval = 16;
 
-/// The batched engine may have drawn grants it never executed; the
-/// executed interleaving is exactly the first ticks() entries.
-void trim_to_executed(std::vector<std::size_t>& trace,
-                      const sim::Simulator& sim) {
-  const auto executed = static_cast<std::size_t>(sim.ticks());
-  if (trace.size() > executed) trace.resize(executed);
+/// The trial's adversary, built through the protocol's schedule factory:
+/// a scripted replay, the fuzzed schedule or the canonical `spec.kind`
+/// (precedence script > fuzzed > kind), optionally wrapped in a
+/// RecordingSchedule.  It keeps what the outcome later reports: the fuzzed
+/// schedule's description and the recorded grant trace.
+class AdversaryTap {
+ public:
+  AdversaryTap(const TrialSpec& spec, bool record)
+      : spec_(spec), record_(record) {}
+
+  std::unique_ptr<sim::Schedule> operator()(std::size_t nprocs,
+                                            apex::Rng rng) {
+    std::unique_ptr<sim::Schedule> s;
+    if (spec_.script != nullptr) {
+      s = std::make_unique<sim::ScriptedSchedule>(
+          nprocs, *spec_.script, sim::ScriptExhaust::kRoundRobin);
+    } else if (spec_.fuzzed) {
+      auto f = std::make_unique<FuzzedSchedule>(nprocs, spec_.seed);
+      fuzzed_ = f.get();
+      s = std::move(f);
+    } else {
+      s = sim::make_schedule(spec_.kind, nprocs, rng);
+    }
+    if (!record_) return s;
+    auto r = std::make_unique<RecordingSchedule>(std::move(s));
+    recording_ = r.get();
+    return r;
+  }
+
+  /// Fill the outcome's schedule description and trace.  The batched
+  /// engine may have drawn grants it never executed; the executed
+  /// interleaving is exactly the first ticks() entries.
+  void report(TrialOutcome& out, const sim::Simulator& sim) const {
+    if (fuzzed_ != nullptr) out.schedule_desc = fuzzed_->describe();
+    if (recording_ != nullptr) {
+      out.trace = recording_->trace();
+      const auto executed = static_cast<std::size_t>(sim.ticks());
+      if (out.trace.size() > executed) out.trace.resize(executed);
+    }
+  }
+
+ private:
+  const TrialSpec& spec_;
+  bool record_;
+  FuzzedSchedule* fuzzed_ = nullptr;
+  RecordingSchedule* recording_ = nullptr;
+};
+
+/// A failing verdict: the oracle's name and its message.
+TrialOutcome failure(std::string oracle, std::string message) {
+  TrialOutcome out;
+  out.failed = true;
+  out.oracle = std::move(oracle);
+  out.message = std::move(message);
+  return out;
 }
 
-std::unique_ptr<sim::Schedule> build_adversary(const TrialSpec& spec,
-                                               std::size_t nprocs,
-                                               apex::Rng rng) {
-  if (spec.script != nullptr)
-    return std::make_unique<sim::ScriptedSchedule>(
-        nprocs, *spec.script, sim::ScriptExhaust::kRoundRobin);
-  if (spec.fuzzed)
-    return std::make_unique<FuzzedSchedule>(nprocs, spec.seed);
-  return sim::make_schedule(spec.kind, nprocs, rng);
+/// Run one observed trial and package its outcome.  `run()` drives the
+/// simulation and returns the trial's end-to-end check, which is asked
+/// only when every oracle in `set` passed; it returns a failure or a clean
+/// outcome.  Any exception is the "exception" finding.
+template <typename Run>
+TrialOutcome run_observed(const AdversaryTap& tap, sim::Simulator& sim,
+                          OracleSet& set, Run&& run) {
+  TrialOutcome out;
+  try {
+    const auto end_to_end = run();
+    set.finish(sim);
+    if (const Oracle* o = set.first_failing())
+      out = failure(o->name(), o->failures().front());
+    else
+      out = end_to_end();
+  } catch (const std::exception& e) {
+    out = failure("exception", e.what());
+  }
+  tap.report(out, sim);
+  return out;
 }
+
+/// The four protocol oracles over one phase clock and bin array, in one
+/// set: work accounting, clock skew, bin validity and the clobber cap.
+struct ProtocolOracles {
+  ProtocolOracles(const clockx::PhaseClock& clk,
+                  const agreement::BinArray& bin_array, std::size_t n,
+                  std::uint64_t skew_ticks, agreement::SupportFn support,
+                  std::uint32_t clobber_bound)
+      : clock(clk, n, skew_ticks),
+        bins(bin_array, std::move(support)),
+        clobbers(bin_array, clk, clobber_bound) {
+    set.add(&work);
+    set.add(&clock);
+    set.add(&bins);
+    set.add(&clobbers);
+  }
+
+  WorkAccountingOracle work;
+  ClockOracle clock;
+  BinArrayOracle bins;
+  ClobberOracle clobbers;
+  OracleSet set;
+};
 
 TrialOutcome run_agreement_trial(const TrialSpec& spec, const FuzzConfig& cfg,
                                  bool record) {
-  TrialOutcome out;
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
-
+  AdversaryTap tap(spec, record);
   agreement::TestbedConfig tc;
   tc.n = spec.n;
   tc.beta = spec.beta;
   tc.seed = spec.seed;
   tc.engine = spec.engine;
-  tc.schedule_factory = [&](std::size_t nprocs, apex::Rng rng) {
-    auto inner = build_adversary(spec, nprocs, rng);
-    if (spec.script == nullptr && spec.fuzzed)
-      fz = static_cast<FuzzedSchedule*>(inner.get());
-    if (!record) return inner;
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    return std::unique_ptr<sim::Schedule>(std::move(wrapped));
-  };
+  tc.schedule_factory = std::ref(tap);
   agreement::AgreementTestbed tb(tc, agreement::uniform_task(kSupportMax),
                                  agreement::uniform_support(kSupportMax));
 
-  WorkAccountingOracle work;
-  ClockOracle clock(tb.clock(), spec.n, cfg.skew_ticks);
-  BinArrayOracle bins(tb.bins(), agreement::uniform_support(kSupportMax));
-  ClobberOracle clobbers(tb.bins(), tb.clock(), cfg.clobber_bound);
-  OracleSet set;
-  set.add(&work);
-  set.add(&clock);
-  set.add(&bins);
-  set.add(&clobbers);
-  tb.attach(static_cast<sim::StepObserver*>(&set));
-  tb.attach(static_cast<agreement::AgreementObserver*>(&set));
-
-  try {
+  ProtocolOracles oracles(tb.clock(), tb.bins(), spec.n, cfg.skew_ticks,
+                          agreement::uniform_support(kSupportMax),
+                          cfg.clobber_bound);
+  tb.attach(static_cast<sim::StepObserver*>(&oracles.set));
+  tb.attach(static_cast<agreement::AgreementObserver*>(&oracles.set));
+  return run_observed(tap, tb.simulator(), oracles.set, [&] {
     tb.simulator().run(
-        spec.budget, [&] { return set.failed(); }, kPollInterval);
-    set.finish(tb.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, tb.simulator());
-  }
-  return out;
+        spec.budget, [&] { return oracles.set.failed(); }, kPollInterval);
+    return [] { return TrialOutcome{}; };
+  });
 }
 
-TrialOutcome run_consensus_trial(const TrialSpec& spec,
-                                 [[maybe_unused]] const FuzzConfig& cfg,
-                                 bool record) {
-  TrialOutcome out;
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
-
+TrialOutcome run_consensus_trial(const TrialSpec& spec, bool record) {
+  AdversaryTap tap(spec, record);
   apex::SeedTree seeds{spec.seed};
-  auto inner = build_adversary(spec, spec.n, seeds.schedule());
-  if (spec.script == nullptr && spec.fuzzed)
-    fz = static_cast<FuzzedSchedule*>(inner.get());
-  if (record) {
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    inner = std::move(wrapped);
-  }
-
   consensus::ScanConfig sc;
   sc.n = spec.n;
   sc.seed = spec.seed;
   sc.engine = spec.engine;
   consensus::ScanConsensus scan(sc, agreement::uniform_task(kSupportMax),
-                                std::move(inner));
+                                tap(spec.n, seeds.schedule()));
 
   WorkAccountingOracle work;
   ConsensusOracle cons(scan);
@@ -130,126 +167,87 @@ TrialOutcome run_consensus_trial(const TrialSpec& spec,
   set.add(&work);
   set.add(&cons);
   scan.simulator().add_observer(&set);
-
-  try {
+  return run_observed(tap, scan.simulator(), set, [&] {
     scan.simulator().run(
         spec.budget, [&] { return set.failed(); }, kPollInterval);
-    set.finish(scan.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, scan.simulator());
-  }
-  return out;
+    return [] { return TrialOutcome{}; };
+  });
 }
 
-TrialOutcome run_workload_trial(const TrialSpec& spec, const FuzzConfig& cfg,
-                                bool record) {
-  TrialOutcome out;
-  const pram::WorkloadSpec* wl = pram::find_workload(spec.workload);
-  if (wl == nullptr) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = "unknown workload '" + spec.workload + "'";
-    return out;
-  }
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
+/// A program trial's final check on a clean run's memory: a failure, or a
+/// clean outcome.
+using MemoryCheck =
+    std::function<TrialOutcome(const std::vector<pram::Word>& memory)>;
 
-  const pram::Program prog = wl->make(spec.n);
+/// Workload and grammar trials: `prog` through the nondeterministic
+/// execution scheme on `engine` under the four protocol oracles (clock
+/// oracle over `n` processors), then — on a run the scheme itself
+/// considers clean — the produced-trace consistency oracle (reported as
+/// `consistency_oracle`) and `check`.
+TrialOutcome run_program_trial(const TrialSpec& spec, const FuzzConfig& cfg,
+                               bool record, const pram::Program& prog,
+                               sim::GrantEngine engine, std::size_t n,
+                               const char* consistency_oracle,
+                               const MemoryCheck& check) {
+  AdversaryTap tap(spec, record);
   exec::ExecConfig ec;
   ec.seed = spec.seed;
-  ec.engine = spec.engine;
-  ec.schedule_factory = [&](std::size_t nprocs, apex::Rng rng) {
-    auto inner = build_adversary(spec, nprocs, rng);
-    if (spec.script == nullptr && spec.fuzzed)
-      fz = static_cast<FuzzedSchedule*>(inner.get());
-    if (!record) return inner;
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    return std::unique_ptr<sim::Schedule>(std::move(wrapped));
-  };
+  ec.engine = engine;
+  ec.schedule_factory = std::ref(tap);
   exec::Executor ex(prog, exec::Scheme::kNondeterministic, ec);
 
-  WorkAccountingOracle work;
-  ClockOracle clock(ex.clock(), spec.n, cfg.skew_ticks);
   // The agreed values are whole-program data, not a fixed per-bin support,
   // so the bin oracle's support predicate is permissive here; its stamp and
   // copy-forward provenance checks (the hard Fig. 2 invariants) stay live.
-  BinArrayOracle bins(*ex.bins(), [](std::size_t, sim::Word) { return true; });
+  //
   // The Lemma-1 cap is calibrated per phase on the single-phase agreement
-  // corpus; a workload run takes the max over HUNDREDS of phases (bfs at
+  // corpus; a program run takes the max over HUNDREDS of phases (bfs at
   // n=8: ~460), so the legitimate extreme-value tail sits higher.  Measured
   // over a 120-seed fuzzed corpus: worst 74 (bfs n=8), 62 (bfs n=6), <=41
   // for merge/spmv/dag, against single-phase caps of 52.  Doubling the cap
   // keeps >=40% two-sided margin while a stamp-refresh mutation floods
   // ~alpha*lg(n) = 72 per phase in EVERY phase of the run.
-  ClobberOracle clobbers(*ex.bins(), ex.clock(),
-                         cfg.clobber_bound != 0
-                             ? cfg.clobber_bound
-                             : 2 * ClobberOracle::default_bound(spec.n));
-  OracleSet set;
-  set.add(&work);
-  set.add(&clock);
-  set.add(&bins);
-  set.add(&clobbers);
-  ex.simulator().add_observer(&set);
-  ex.set_agreement_observer(&set);
+  ProtocolOracles oracles(
+      ex.clock(), *ex.bins(), n, cfg.skew_ticks,
+      [](std::size_t, sim::Word) { return true; },
+      cfg.clobber_bound != 0 ? cfg.clobber_bound
+                             : 2 * ClobberOracle::default_bound(n));
+  ex.simulator().add_observer(&oracles.set);
+  ex.set_agreement_observer(&oracles.set);
 
-  try {
+  return run_observed(tap, ex.simulator(), oracles.set, [&] {
     const std::uint64_t budget =
         spec.budget != 0 ? spec.budget : exec::Executor::default_budget(prog);
-    const auto res = ex.run(budget);
-    set.finish(ex.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    } else if (res.completed && res.incomplete_tasks == 0) {
+    return [&, res = ex.run(budget)] {
       // An adversary may legitimately stall completion within the budget,
       // and the scheme's own w.h.p. failure mode — a subphase ending with
       // unfinished tasks under an extreme schedule — is self-reported via
       // incomplete_tasks (the monitor's audit).  The end-to-end oracles
-      // below assert the UNCONDITIONAL part of the contract: a run the
-      // scheme itself considers clean must be consistent with some valid
-      // synchronous execution and satisfy the workload's invariants.
+      // assert the UNCONDITIONAL part of the contract: a run the scheme
+      // itself considers clean must be consistent with some valid
+      // synchronous execution and pass the trial's own check.
+      if (!res.completed || res.incomplete_tasks != 0) return TrialOutcome{};
       const std::string cons = pram::check_execution_consistency(
           prog, std::vector<pram::Word>(prog.nvars(), 0), res.produced,
           res.memory);
-      if (!cons.empty()) {
-        out.failed = true;
-        out.oracle = "workload_consistency";
-        out.message = cons;
-      } else {
-        const std::string verdict = wl->check(spec.n, res.memory);
-        if (!verdict.empty()) {
-          out.failed = true;
-          out.oracle = "workload_invariant";
-          out.message = verdict;
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, ex.simulator());
-  }
-  return out;
+      if (!cons.empty()) return failure(consistency_oracle, cons);
+      return check(res.memory);
+    };
+  });
+}
+
+TrialOutcome run_workload_trial(const TrialSpec& spec, const FuzzConfig& cfg,
+                                bool record) {
+  const pram::WorkloadSpec* wl = pram::find_workload(spec.workload);
+  if (wl == nullptr)
+    return failure("exception", "unknown workload '" + spec.workload + "'");
+  return run_program_trial(
+      spec, cfg, record, wl->make(spec.n), spec.engine, spec.n,
+      "workload_consistency", [&](const std::vector<pram::Word>& memory) {
+        const std::string verdict = wl->check(spec.n, memory);
+        return verdict.empty() ? TrialOutcome{}
+                               : failure("workload_invariant", verdict);
+      });
 }
 
 /// Everything a kGrammar trial derives from its seed alone: the generated
@@ -274,99 +272,31 @@ GrammarDraw draw_grammar(std::uint64_t seed) {
 
 TrialOutcome run_grammar_trial(const TrialSpec& spec, const FuzzConfig& cfg,
                                bool record) {
-  TrialOutcome out;
   const GrammarDraw draw = draw_grammar(spec.seed);
 
   // The whole language front-end is under test: generated source must
   // compile cleanly (the generator is EREW-valid by construction), so a
   // diagnostic here is a front-end or generator bug, not a bad input.
   const lang::CompileResult comp = lang::compile_source(draw.gen.source);
-  if (!comp.ok()) {
-    out.failed = true;
-    out.oracle = "grammar_compile";
-    out.message = lang::render_diagnostics(draw.gen.source, comp.diagnostics);
-    return out;
-  }
+  if (!comp.ok())
+    return failure("grammar_compile", lang::render_diagnostics(
+                                          draw.gen.source, comp.diagnostics));
   const pram::Program& prog = *comp.program;
 
-  FuzzedSchedule* fz = nullptr;
-  RecordingSchedule* rec = nullptr;
-  exec::ExecConfig ec;
-  ec.seed = spec.seed;
-  ec.engine = draw.engine;
-  ec.schedule_factory = [&](std::size_t nprocs, apex::Rng rng) {
-    auto inner = build_adversary(spec, nprocs, rng);
-    if (spec.script == nullptr && spec.fuzzed)
-      fz = static_cast<FuzzedSchedule*>(inner.get());
-    if (!record) return inner;
-    auto wrapped = std::make_unique<RecordingSchedule>(std::move(inner));
-    rec = wrapped.get();
-    return std::unique_ptr<sim::Schedule>(std::move(wrapped));
-  };
-  exec::Executor ex(prog, exec::Scheme::kNondeterministic, ec);
-
-  WorkAccountingOracle work;
-  ClockOracle clock(ex.clock(), prog.nthreads(), cfg.skew_ticks);
-  BinArrayOracle bins(*ex.bins(), [](std::size_t, sim::Word) { return true; });
-  // Same doubled cap as the workload trials: multi-phase runs have a wider
-  // legitimate clobber tail than the single-phase agreement calibration.
-  ClobberOracle clobbers(*ex.bins(), ex.clock(),
-                         cfg.clobber_bound != 0
-                             ? cfg.clobber_bound
-                             : 2 * ClobberOracle::default_bound(
-                                       prog.nthreads()));
-  OracleSet set;
-  set.add(&work);
-  set.add(&clock);
-  set.add(&bins);
-  set.add(&clobbers);
-  ex.simulator().add_observer(&set);
-  ex.set_agreement_observer(&set);
-
-  try {
-    const std::uint64_t budget =
-        spec.budget != 0 ? spec.budget : exec::Executor::default_budget(prog);
-    const auto res = ex.run(budget);
-    set.finish(ex.simulator());
-    if (const Oracle* o = set.first_failing()) {
-      out.failed = true;
-      out.oracle = o->name();
-      out.message = o->failures().front();
-    } else if (res.completed && res.incomplete_tasks == 0) {
-      // Differential oracles (same contract as the workload trials): a run
-      // the scheme considers clean must be consistent with some valid
-      // synchronous execution, and a deterministic program's final memory
-      // must match the reference interpreter bit-for-bit.
-      const std::vector<pram::Word> zeros(prog.nvars(), 0);
-      const std::string cons = pram::check_execution_consistency(
-          prog, zeros, res.produced, res.memory);
-      if (!cons.empty()) {
-        out.failed = true;
-        out.oracle = "grammar_consistency";
-        out.message = cons;
-      } else if (!prog.is_nondeterministic()) {
-        const auto ref = pram::Interpreter(prog).run_deterministic(zeros);
-        if (ref.memory != res.memory) {
-          out.failed = true;
-          out.oracle = "grammar_determinism";
-          out.message =
-              "deterministic generated program diverged from the reference "
-              "interpreter (seed " +
-              std::to_string(spec.seed) + ")";
-        }
-      }
-    }
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-  }
-  if (fz != nullptr) out.schedule_desc = fz->describe();
-  if (rec != nullptr) {
-    out.trace = rec->trace();
-    trim_to_executed(out.trace, ex.simulator());
-  }
-  return out;
+  // A deterministic program's final memory must match the reference
+  // interpreter bit-for-bit.
+  return run_program_trial(
+      spec, cfg, record, prog, draw.engine, prog.nthreads(),
+      "grammar_consistency", [&](const std::vector<pram::Word>& memory) {
+        if (prog.is_nondeterministic()) return TrialOutcome{};
+        const std::vector<pram::Word> zeros(prog.nvars(), 0);
+        if (pram::Interpreter(prog).run_deterministic(zeros).memory == memory)
+          return TrialOutcome{};
+        return failure("grammar_determinism",
+                       "deterministic generated program diverged from the "
+                       "reference interpreter (seed " +
+                           std::to_string(spec.seed) + ")");
+      });
 }
 
 /// Shrink: find the shortest grant-trace prefix that still trips the same
@@ -389,13 +319,10 @@ void shrink_failure(const FuzzConfig& cfg, FuzzFailure& f) {
     return o.failed && o.oracle == f.oracle;
   };
 
+  // Replay is exact, so the whole trace fails again; should it not, the
+  // search is skipped and the whole trace is kept as the repro.
   std::size_t hi = recorded.trace.size();
-  if (!fails_with(hi)) {
-    // Should not happen (replay is exact); keep the full trace as repro.
-    f.repro_script = recorded.trace;
-    return;
-  }
-  std::size_t lo = 0;
+  std::size_t lo = fails_with(hi) ? 0 : hi;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (fails_with(mid))
@@ -403,9 +330,9 @@ void shrink_failure(const FuzzConfig& cfg, FuzzFailure& f) {
     else
       lo = mid + 1;
   }
-  prefix.assign(recorded.trace.begin(),
-                recorded.trace.begin() + static_cast<std::ptrdiff_t>(hi));
-  f.repro_script = std::move(prefix);
+  f.repro_script.assign(
+      recorded.trace.begin(),
+      recorded.trace.begin() + static_cast<std::ptrdiff_t>(hi));
 }
 
 }  // namespace
@@ -433,7 +360,7 @@ TrialOutcome run_trial(const TrialSpec& spec, const FuzzConfig& cfg,
       case FuzzProtocol::kAgreement:
         return run_agreement_trial(spec, cfg, record);
       case FuzzProtocol::kConsensus:
-        return run_consensus_trial(spec, cfg, record);
+        return run_consensus_trial(spec, record);
       case FuzzProtocol::kWorkload:
         return run_workload_trial(spec, cfg, record);
       case FuzzProtocol::kGrammar:
@@ -442,11 +369,7 @@ TrialOutcome run_trial(const TrialSpec& spec, const FuzzConfig& cfg,
     throw std::logic_error("run_trial: unknown protocol");
   } catch (const std::exception& e) {
     // Construction-time failures (bad config) — still a finding.
-    TrialOutcome out;
-    out.failed = true;
-    out.oracle = "exception";
-    out.message = e.what();
-    return out;
+    return failure("exception", e.what());
   }
 }
 

@@ -175,8 +175,7 @@ std::uint32_t Program::last_writer_before(std::size_t s,
   return it == first ? kInitial : *(it - 1);
 }
 
-std::string Program::to_string() const {
-  std::ostringstream os;
+void Program::write(std::ostream& os) const {
   os << "PRAM program: " << nthreads_ << " threads, " << nvars_ << " vars, "
      << steps_.size() << " steps\n";
   for (std::size_t s = 0; s < steps_.size(); ++s) {
@@ -187,6 +186,11 @@ std::string Program::to_string() const {
       os << "   T" << t << ": " << ins.to_string() << '\n';
     }
   }
+}
+
+std::string Program::to_string() const {
+  std::ostringstream os;
+  write(os);
   // A stringbuf that cannot grow sets badbit and drops the rest of the
   // text; a truncated dump must not pass for the program.
   if (!os) throw std::bad_alloc();

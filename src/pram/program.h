@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -81,6 +82,12 @@ class Program {
   static void validate_erew(std::size_t nthreads, std::size_t nvars,
                             const std::vector<Step>& steps);
 
+  /// The IR dump: a header line, then each step's non-nop instructions.
+  /// Written piece by piece, so the dump itself is never held in memory.
+  void write(std::ostream& os) const;
+
+  /// write() into a string; throws std::bad_alloc if the string cannot
+  /// hold the whole dump.
   std::string to_string() const;
 
  private:

@@ -172,129 +172,6 @@ void Simulator::validate_grants(std::size_t from) {
   }
 }
 
-void Simulator::consume_batch_instr(std::size_t end, bool double_charge,
-                                    bool poll_on_dead, RunResult& res) {
-  // The instrumented twin of consume_batch_fast below: same loop structure,
-  // same register discipline, but each live grant's awaiter additionally
-  // fills the current slot of the batch event buffer (through ev_cur_; the
-  // loop pre-fills time/proc and advances the slot).  Delivery is deferred:
-  // one on_steps(span) per kEventBatch events (and one for the remainder at
-  // every exit of this function) down the chain — so every executed step
-  // is delivered exactly once, in order, before any stop-predicate poll
-  // and before any exception escapes.
-  const std::uint32_t* const buf = grant_buf_.data();
-  std::coroutine_handle<>* const slots = resume_slots_.data();
-  StepEvent* const evs = event_buf_.data();
-  StepEvent* const evs_cap = evs + event_buf_.size();
-  if (bad_grant_at_ < buf_pos_) [[unlikely]] validate_grants(buf_pos_);
-  const std::size_t safe_end = std::min(end, bad_grant_at_);
-  const std::size_t pos0 = buf_pos_;
-  std::size_t pos = pos0;
-  // Grants consumed but charged no work: dead (finished-proc) grants plus
-  // at most one trailing faulted grant (unknown proc / out-of-range
-  // address — its tick is consumed, its work is not, its event is never
-  // built; the single-step engine accounts faults the same way).
-  std::uint64_t deads = 0;
-
-  const auto flush = [&]() {
-    buf_pos_ = pos;
-    tick_ += pos - pos0;
-    res.work += (pos - pos0) - deads;
-    flush_observers();
-    // Batch done, nothing mid-flight: recycle the buffer.
-    ev_next_ = evs;
-    ev_flushed_ = evs;
-  };
-
-  bool exhausted = true;
-  try {
-    while (pos < safe_end) {
-      const std::size_t p = buf[pos];
-      ++pos;
-      const std::coroutine_handle<> h = slots[p];
-      if (!h) [[unlikely]] {
-        // Null slot = finished processor (spawn() invariant): no event.
-        ++deads;
-        charge_starvation(tick_ + (pos - 1 - pos0));
-        if (poll_on_dead && pos - pos0 == deads) {
-          exhausted = false;
-          break;
-        }
-        continue;
-      }
-      // Pre-fill the current event slot; the awaiter fills op/before/after
-      // through ev_next_ during the resume.  A protocol-hook flush inside
-      // the resume delivers [ev_flushed_, ev_next_) — everything up to the
-      // previous completed step — exactly as the single-step engine had at
-      // that point.
-      StepEvent* const e = ev_next_;
-      e->time = work_;
-      e->proc = p;
-      slots[p] = {};
-      h.resume();
-
-      if (!slots[p]) [[unlikely]] {
-        if (oob_fault_) [[unlikely]] {
-          // The awaiter refused an out-of-range address: nothing executed,
-          // nothing charged, no event (ev_next_ stays put, so the
-          // pre-filled slot is never delivered).  The grant's tick is
-          // consumed; deads neutralizes its work charge.
-          ++deads;
-          throw_oob(p);
-        }
-        ProcState& ps = procs_[p];
-        const auto top = ps.task.handle();
-        if (top.promise().exception) [[unlikely]]
-          std::rethrow_exception(top.promise().exception);
-        // No awaiter ran: the final resume is the processor's halting Local
-        // step — account it and eventize it here.
-        ps.finished = true;
-        --alive_;
-        ps.ctx->steps_ += 1;
-        e->op = Op{Op::Kind::Local, 0, 0, 0};
-        e->before = Cell{};
-        e->after = Cell{};
-        ev_next_ = e + 1;
-        work_ += 1;
-        if (double_charge) [[unlikely]] work_ += 1;  // final resume is Local
-        if (ev_next_ == evs_cap) [[unlikely]] {
-          flush_observers();
-          ev_next_ = evs;
-          ev_flushed_ = evs;
-        }
-        if (alive_ == 0 || stop_requested_) {
-          exhausted = false;
-          break;
-        }
-        continue;
-      }
-
-      ev_next_ = e + 1;
-      work_ += 1;
-      if (ev_next_ == evs_cap) [[unlikely]] {
-        // Sub-batch full: deliver and recycle so the buffer stays
-        // L1-resident (see kEventBatch).
-        flush_observers();
-        ev_next_ = evs;
-        ev_flushed_ = evs;
-      }
-      if (stop_requested_) [[unlikely]] {
-        exhausted = false;
-        break;
-      }
-    }
-    if (exhausted && pos == bad_grant_at_ && pos < end) {
-      ++pos;    // the bad grant consumes its tick, then faults
-      ++deads;  // ...but charges no work (it granted nothing)
-      throw std::logic_error("Simulator: schedule granted unknown proc");
-    }
-  } catch (...) {
-    flush();
-    throw;
-  }
-  flush();
-}
-
 void Simulator::flush_observers_slow() {
   const std::span<const StepEvent> batch(
       ev_flushed_, static_cast<std::size_t>(ev_next_ - ev_flushed_));
@@ -315,19 +192,30 @@ void Simulator::throw_oob(std::size_t p) {
                           std::to_string(memory_.size()));
 }
 
-void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
-                                   bool poll_on_dead, RunResult& res) {
+template <bool kInstrumented>
+void Simulator::consume_batch(std::size_t end, bool double_charge,
+                              bool poll_on_dead, RunResult& res) {
   // The hot loop of the whole repo.  The atomic op itself is executed
-  // inline by the step awaiter (fast mode, see proc.h) before the resume
-  // returns, so each iteration is: resume, finish check, accounting.
-  // Everything the resume cannot touch is hoisted into const locals;
-  // counters the protocol can read mid-resume through Ctx accessors
-  // (work_, ctx.steps_) stay per-step member updates, while run-local or
+  // inline by the step awaiter (see proc.h) before the resume returns, so
+  // each iteration is: resume, finish check, accounting.  Everything the
+  // resume cannot touch is hoisted into const locals; counters the
+  // protocol can read mid-resume through Ctx accessors (work_,
+  // ctx.steps_) stay per-step member updates, while run-local or
   // boundary-visible counters (res.work, tick_, buf_pos_, starvation_)
   // accumulate in registers and flush at every exit — including the
   // throwing ones, so a caught exception leaves the simulator consistent.
+  //
+  // The instrumented instantiation additionally pre-fills the current slot
+  // of the batch event buffer (the awaiter fills the rest through ev_cur_)
+  // and advances it.  Delivery is deferred: one on_steps(span) per
+  // kEventBatch events, and one for the remainder at every exit, so every
+  // executed step is delivered exactly once, in order, before any
+  // stop-predicate poll and before any exception escapes.  The fast
+  // instantiation compiles all of that away.
   const std::uint32_t* const buf = grant_buf_.data();
   std::coroutine_handle<>* const slots = resume_slots_.data();
+  [[maybe_unused]] StepEvent* const evs_cap =
+      kInstrumented ? event_buf_.data() + event_buf_.size() : nullptr;
   // A previously faulted grant was consumed and its exception caught:
   // re-validate the buffer tail so execution continues past it, exactly
   // as the single-step engine would.
@@ -337,17 +225,37 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
   const std::size_t safe_end = std::min(end, bad_grant_at_);
   const std::size_t pos0 = buf_pos_;
   std::size_t pos = pos0;
-  // Dead (finished-proc) grants consumed, maintained only on the cold
-  // paths; the live grants of the batch are then (pos - pos0) - deads, so
-  // the hot path carries no work/starvation counters at all.  The live
-  // loop state (this, pos, buf, slots, safe_end + one temporary) fits the
-  // callee-saved registers, so nothing spills across the resume call.
+  // Grants consumed but charged no work: dead (finished-proc) grants plus
+  // at most one trailing faulted grant (unknown proc / out-of-range
+  // address — its tick is consumed, its work is not, its event is never
+  // built).  Maintained only on the cold paths; the live grants of the
+  // batch are then (pos - pos0) - deads, so the hot path carries no
+  // work/starvation counters at all.  The fast loop state (this, pos, buf,
+  // slots, safe_end + one temporary) fits the callee-saved registers, so
+  // nothing spills across the resume call.
   std::uint64_t deads = 0;
 
-  const auto flush = [&]() noexcept {
+  // Deliver the buffered events and recycle the buffer (instrumented).
+  const auto deliver = [this] {
+    if constexpr (kInstrumented) {
+      flush_observers();
+      ev_next_ = event_buf_.data();
+      ev_flushed_ = ev_next_;
+    }
+  };
+  // Close the current event slot; a full sub-batch is delivered so the
+  // buffer stays L1-resident (see kEventBatch).
+  const auto close_event = [&](StepEvent* e) {
+    if constexpr (kInstrumented) {
+      ev_next_ = e + 1;
+      if (ev_next_ == evs_cap) [[unlikely]] deliver();
+    }
+  };
+  const auto flush = [&] {
     buf_pos_ = pos;
     tick_ += pos - pos0;
     res.work += (pos - pos0) - deads;
+    deliver();
   };
 
   bool exhausted = true;
@@ -357,7 +265,7 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
       ++pos;
       const std::coroutine_handle<> h = slots[p];
       if (!h) [[unlikely]] {
-        // Null slot = finished processor (spawn() invariant).
+        // Null slot = finished processor (spawn() invariant): no event.
         ++deads;
         charge_starvation(tick_ + (pos - 1 - pos0));
         // Work still parked on a predicate boundary: hand back for a
@@ -367,6 +275,17 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
           break;
         }
         continue;
+      }
+      // Pre-fill the current event slot; the awaiter fills op/before/after
+      // through ev_next_ during the resume.  A protocol-hook flush inside
+      // the resume delivers [ev_flushed_, ev_next_) — everything up to the
+      // previous completed step — exactly as the single-step engine had at
+      // that point.
+      [[maybe_unused]] StepEvent* e = nullptr;
+      if constexpr (kInstrumented) {
+        e = ev_next_;
+        e->time = work_;
+        e->proc = p;
       }
       // Clear before resuming: a suspension re-stores the slot (and the
       // awaiter accounts the step), so a slot still null afterwards means
@@ -379,6 +298,9 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
 
       if (!slots[p]) [[unlikely]] {
         if (oob_fault_) [[unlikely]] {
+          // The awaiter refused an out-of-range address: nothing executed,
+          // nothing charged, no event (ev_next_ stays put, so the
+          // pre-filled slot is never delivered).
           ++deads;  // the tick is consumed, the work is not
           throw_oob(p);
         }
@@ -386,12 +308,19 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
         const auto top = ps.task.handle();
         if (top.promise().exception) [[unlikely]]
           std::rethrow_exception(top.promise().exception);
-        // No awaiter ran, so account the final step here.
+        // No awaiter ran: the final resume is the processor's halting Local
+        // step — account it (and eventize it) here.
         ps.finished = true;
         --alive_;
         ps.ctx->steps_ += 1;
+        if constexpr (kInstrumented) {
+          e->op = Op{Op::Kind::Local, 0, 0, 0};
+          e->before = Cell{};
+          e->after = Cell{};
+        }
         work_ += 1;
         if (double_charge) [[unlikely]] work_ += 1;  // final resume is Local
+        close_event(e);
         if (alive_ == 0 || stop_requested_) {
           exhausted = false;
           break;
@@ -400,13 +329,15 @@ void Simulator::consume_batch_fast(std::size_t end, bool double_charge,
       }
 
       work_ += 1;
+      close_event(e);
       if (stop_requested_) [[unlikely]] {
         exhausted = false;
         break;
       }
     }
     if (exhausted && pos == bad_grant_at_ && pos < end) {
-      ++pos;  // the bad grant consumes its tick, then faults
+      ++pos;    // the bad grant consumes its tick, then faults
+      ++deads;  // ...but charges no work (it granted nothing)
       throw std::logic_error("Simulator: schedule granted unknown proc");
     }
   } catch (...) {
@@ -441,6 +372,8 @@ Simulator::RunResult Simulator::run_batched(
     ps.ctx->ev_cur_ = instrumented ? &ev_next_ : nullptr;
     ps.ctx->charge_local_twice_ = double_charge;
   }
+  const auto consume = instrumented ? &Simulator::consume_batch<true>
+                                    : &Simulator::consume_batch<false>;
 
   while (res.work < max_steps) {
     if (alive_ == 0) {
@@ -473,10 +406,7 @@ Simulator::RunResult Simulator::run_batched(
     // consume_batch's poll_on_dead contract).
     const bool poll_on_dead =
         stop != nullptr && res.work % check_interval == 0;
-    if (instrumented)
-      consume_batch_instr(buf_pos_ + take, double_charge, poll_on_dead, res);
-    else
-      consume_batch_fast(buf_pos_ + take, double_charge, poll_on_dead, res);
+    (this->*consume)(buf_pos_ + take, double_charge, poll_on_dead, res);
   }
   return res;
 }

@@ -166,24 +166,21 @@ class Simulator {
   /// Returns false if p had already finished (no work charged).
   bool grant_instrumented(std::size_t p, bool double_charge);
 
-  /// Consume buffered grants [buf_pos_, end) through the batched
-  /// instrumented path: ops executed inline by the awaiters (which also
-  /// fill the batch event buffer through ev_cur_), events flushed as one
-  /// on_steps(span) at every exit.  Returns on exhaustion, stop request,
-  /// or last processor finish.
+  /// Consume buffered grants [buf_pos_, end): ops executed inline
+  /// (bound-checked) by the awaiters against raw memory, invariant
+  /// pointers hoisted out of the loop.  Returns on exhaustion, stop
+  /// request, or last processor finish.  run_batched picks the
+  /// instantiation once per run: kInstrumented (observers attached) also
+  /// fills the batch event buffer through ev_cur_ and flushes it as
+  /// on_steps(span) at every exit; the fast one builds no StepEvent.
   /// `poll_on_dead`: the batch began exactly on a stop-predicate boundary,
   /// so a grant to a finished processor before any live grant must return
   /// to the caller for a re-poll — the single-step engine re-evaluates the
   /// predicate on every such grant (work parked on the boundary), and a
   /// stateful predicate must observe the same number of calls.
-  void consume_batch_instr(std::size_t end, bool double_charge,
-                           bool poll_on_dead, RunResult& res);
-
-  /// Same, through the no-observer fast path: no StepEvent construction,
-  /// ops executed inline (bound-checked) by the awaiters against raw
-  /// memory, invariant pointers hoisted out of the loop.
-  void consume_batch_fast(std::size_t end, bool double_charge,
-                          bool poll_on_dead, RunResult& res);
+  template <bool kInstrumented>
+  void consume_batch(std::size_t end, bool double_charge, bool poll_on_dead,
+                     RunResult& res);
 
   /// Fault the grant to processor p whose awaiter flagged an out-of-range
   /// address: restore p's resume slot and throw std::out_of_range, as

@@ -8,9 +8,11 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "check/fuzz_schedule.h"
+#include "check/mutation.h"
 #include "sim/simulator.h"
 
 namespace apex::sim {
@@ -485,6 +487,62 @@ TEST(BatchEquivalence, FastAndInstrumentedPathsAgree) {
     EXPECT_EQ(sim.memory().at(a), fast.memory[a]) << "addr " << a;
   for (std::size_t p = 0; p < kProcs; ++p)
     EXPECT_EQ(sim.proc_steps(p), fast.steps[p]) << "proc " << p;
+}
+
+ProcTask locals_then_halt(Ctx& ctx, int count) {
+  for (int i = 0; i < count; ++i) co_await ctx.local();
+}
+
+/// What a run charged: total work, steps per processor, and whether every
+/// processor finished.
+struct Charged {
+  std::uint64_t work = 0;
+  std::vector<std::uint64_t> steps;
+  bool all_finished = false;
+  bool operator==(const Charged&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const Charged& c) {
+    os << "work=" << c.work << " steps=";
+    for (auto s : c.steps) os << s << ' ';
+    return os << "all_finished=" << c.all_finished;
+  }
+};
+
+TEST(BatchEquivalence, DoubleChargeMutationChargesAlikeOnAllPaths) {
+  // kWorkDoubleCharge charges a second work unit for every Local step,
+  // including each processor's final (halting) resume, which the batched
+  // loop accounts itself.  The fast path, the instrumented path (an
+  // observer attached) and the single-step engine must charge the same.
+  const check::ScopedMutation mutation(check::Mutation::kWorkDoubleCharge);
+  struct CountingObs final : StepObserver {
+    std::uint64_t events = 0;
+    void on_step(const StepEvent&) override { ++events; }
+  };
+  const auto go = [](GrantEngine engine, CountingObs* obs) {
+    SimConfig cfg;
+    cfg.nprocs = 3;
+    cfg.memory_words = 2;
+    cfg.seed = 11;
+    cfg.engine = engine;
+    Simulator sim(cfg, make_schedule(ScheduleKind::kUniformRandom, 3, Rng(3)));
+    sim.spawn([](Ctx& c) { return incrementer(c, 0, 40); });
+    sim.spawn([](Ctx& c) { return early_finisher(c, 1); });
+    sim.spawn([](Ctx& c) { return locals_then_halt(c, 10); });
+    if (obs != nullptr) sim.add_observer(obs);
+    Charged out;
+    out.all_finished = sim.run(10000, nullptr, 7).all_finished;
+    out.work = sim.total_work();
+    for (std::size_t p = 0; p < 3; ++p) out.steps.push_back(sim.proc_steps(p));
+    return out;
+  };
+
+  // 81 + 2 + 11 granted steps; 13 of them are Local (10 locals and three
+  // halting steps), each charged twice.
+  const Charged expected{107, {81, 2, 11}, true};
+  CountingObs obs;
+  EXPECT_EQ(go(GrantEngine::kBatched, nullptr), expected) << "fast path";
+  EXPECT_EQ(go(GrantEngine::kBatched, &obs), expected) << "instrumented path";
+  EXPECT_EQ(obs.events, 94u) << "one event per granted step";
+  EXPECT_EQ(go(GrantEngine::kSingleStep, nullptr), expected) << "single-step";
 }
 
 }  // namespace

@@ -74,7 +74,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <new>
 #include <numeric>
@@ -437,10 +436,11 @@ int cmd_exec(const Args& a) {
 }
 
 /// `apexcli compile FILE.pram`: run the front-end only.  On success the
-/// validated program's IR dump (pram::Program::to_string) goes to stdout —
+/// validated program's IR dump (pram::Program::write) streams to stdout —
 /// CI diffs this against committed goldens for every in-tree kernel.  On
 /// failure the file:line:col caret diagnostics go to stderr and the exit
-/// code is 1; usage errors (no file) and running out of memory exit 2.
+/// code is 1; usage errors (no file), running out of memory and a failed
+/// write exit 2.
 int cmd_compile(const Args& a) {
   if (a.positional.empty()) {
     std::fprintf(stderr, "compile: expected a .pram source file\n"
@@ -457,9 +457,14 @@ int cmd_compile(const Args& a) {
     return 1;
   }
   try {
-    std::fputs(comp->program->to_string().c_str(), stdout);
+    comp->program->write(std::cout);
   } catch (const std::bad_alloc&) {
     std::fprintf(stderr, "out of memory dumping the IR of '%s'\n",
+                 path.c_str());
+    return 2;
+  }
+  if (!std::cout.flush() || std::fflush(stdout) != 0) {
+    std::fprintf(stderr, "compile: cannot write the IR of '%s'\n",
                  path.c_str());
     return 2;
   }
@@ -906,8 +911,9 @@ int cmd_perfbench(const Args& a) {
 
   // Host rows: the virtualized executor's T x P x policy x order grid.
   // The legacy-shape prefix row (T = P, alpha = 4096) anchors against the
-  // committed host_pre_virtualization block; the P = 64 rows are the
-  // scaling configurations the one-thread-per-processor design never ran.
+  // host_pre_virtualization block of BENCH_provenance.json; the P = 64 rows
+  // are the scaling configurations the one-thread-per-processor design
+  // never ran.
   const std::size_t hw = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
   struct HostPoint {
@@ -1028,8 +1034,8 @@ int cmd_perfbench(const Args& a) {
   // off): min over n, so the claim holds at every measured size.  NOTE:
   // the in-tree single_step reference shares the reworked awaiter/Ctx
   // architecture and is itself substantially faster than the genuine
-  // pre-refactor engine — the committed BENCH_core.json carries the
-  // pre-refactor numbers (measured against the parent commit) alongside.
+  // pre-refactor engine — BENCH_provenance.json carries the pre-refactor
+  // numbers (measured against the parent commit).
   double speedup_min = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& b = rows[i];
@@ -1104,47 +1110,6 @@ int cmd_perfbench(const Args& a) {
               "(%zu failures)\n",
               fuzz_trials, fuzz_secs, fuzz_tps, fuzz_failures);
 
-  // The committed BENCH_core.json carries hand-added provenance blocks
-  // ("pre_refactor": the genuine pre-batching engine measured from the
-  // parent commit of PR 3; "host_pre_virtualization": the one-thread-per-
-  // processor host executor measured from the parent commit of the
-  // virtualization PR; "pre_observer_batching": the per-step observer
-  // delivery path measured from the parent commit of the observer-batching
-  // PR).  Rewriting the file must not destroy them: lift each block out of
-  // any existing file and splice it back into the fresh output.
-  std::vector<std::string> kept_blocks;
-  {
-    std::ifstream prev(out_path);
-    if (prev) {
-      std::string text((std::istreambuf_iterator<char>(prev)),
-                       std::istreambuf_iterator<char>());
-      for (const char* keyname : {"pre_refactor", "host_pre_virtualization",
-                                  "pre_observer_batching"}) {
-        const auto key = text.find("\"" + std::string(keyname) + "\"");
-        const auto open = text.find('{', key);
-        if (key == std::string::npos || open == std::string::npos) continue;
-        // Balanced-brace scan that skips JSON string literals, so braces
-        // inside the block's "note" text cannot truncate the extraction.
-        int depth = 0;
-        bool in_string = false;
-        for (std::size_t i = open; i < text.size(); ++i) {
-          const char c = text[i];
-          if (in_string) {
-            if (c == '\\') ++i;
-            else if (c == '"') in_string = false;
-            continue;
-          }
-          if (c == '"') in_string = true;
-          else if (c == '{') ++depth;
-          else if (c == '}' && --depth == 0) {
-            kept_blocks.push_back(text.substr(key, i + 1 - key));
-            break;
-          }
-        }
-      }
-    }
-  }
-
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "perfbench: cannot write %s\n", out_path.c_str());
@@ -1166,7 +1131,6 @@ int cmd_perfbench(const Args& a) {
   out << "  \"fuzz\": {\"trials\": " << fuzz_trials << ", \"seed\": 1, "
       << "\"jobs\": 1, \"failures\": " << fuzz_failures
       << ", \"trials_per_sec\": " << buf << "},\n";
-  for (const auto& block : kept_blocks) out << "  " << block << ",\n";
   out << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
