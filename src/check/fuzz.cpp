@@ -4,6 +4,7 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 
 #include "agreement/testbed.h"
 #include "batch/sweep.h"
@@ -333,6 +334,7 @@ void shrink_failure(const FuzzConfig& cfg, FuzzFailure& f) {
   f.repro_script.assign(
       recorded.trace.begin(),
       recorded.trace.begin() + static_cast<std::ptrdiff_t>(hi));
+  f.shrunk = true;
 }
 
 }  // namespace
@@ -474,7 +476,10 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
       r.skew_ticks = cfg.skew_ticks;
       r.clobber_bound = cfg.clobber_bound;
       r.oracle = slot->oracle;
-      r.script = slot->repro_script;
+      if (slot->shrunk) {
+        r.schedule = ReproSchedule::kScripted;
+        r.script = slot->repro_script;
+      }
       const std::string path = cfg.repro_dir + "/repro-trial" +
                                std::to_string(slot->trial) + ".txt";
       // A dump problem must never lose the report itself — note it on the
@@ -500,10 +505,17 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
 // Repro files
 // ---------------------------------------------------------------------------
 
+const char* repro_schedule_name(ReproSchedule s) noexcept {
+  return s == ReproSchedule::kFuzzed ? "fuzzed" : "script";
+}
+
 void write_repro(const std::string& path, const Repro& r) {
+  if (r.schedule == ReproSchedule::kFuzzed && !r.script.empty())
+    throw std::invalid_argument("write_repro: a fuzzed-schedule repro "
+                                "has no script");
   std::ofstream out(path);
   if (!out) throw std::runtime_error("write_repro: cannot open " + path);
-  out << "apex-fuzz-repro v1\n";
+  out << "apex-fuzz-repro v2\n";
   out << "protocol " << fuzz_protocol_name(r.protocol) << "\n";
   if (!r.workload.empty()) out << "workload " << r.workload << "\n";
   out << "n " << r.n << "\n";
@@ -513,9 +525,12 @@ void write_repro(const std::string& path, const Repro& r) {
   out << "skew " << r.skew_ticks << "\n";
   out << "clobber_bound " << r.clobber_bound << "\n";
   out << "oracle " << r.oracle << "\n";
-  out << "script";
-  for (auto p : r.script) out << ' ' << p;
-  out << "\n";
+  out << "schedule " << repro_schedule_name(r.schedule) << "\n";
+  if (r.schedule == ReproSchedule::kScripted) {
+    out << "script";
+    for (auto p : r.script) out << ' ' << p;
+    out << "\n";
+  }
 }
 
 Repro load_repro(const std::string& path) {
@@ -523,9 +538,11 @@ Repro load_repro(const std::string& path) {
   if (!in) throw std::runtime_error("load_repro: cannot open " + path);
   std::string header;
   std::getline(in, header);
-  if (header != "apex-fuzz-repro v1")
+  const bool v1 = header == "apex-fuzz-repro v1";
+  if (!v1 && header != "apex-fuzz-repro v2")
     throw std::runtime_error("load_repro: bad header in " + path);
   Repro r;
+  bool has_schedule = false;
   std::string line;
   while (std::getline(in, line)) {
     std::istringstream ls(line);
@@ -560,6 +577,16 @@ Repro load_repro(const std::string& path) {
       ls >> r.clobber_bound;
     } else if (key == "oracle") {
       ls >> r.oracle;
+    } else if (key == "schedule" && !v1) {
+      std::string v;
+      ls >> v;
+      if (v == repro_schedule_name(ReproSchedule::kFuzzed))
+        r.schedule = ReproSchedule::kFuzzed;
+      else if (v == repro_schedule_name(ReproSchedule::kScripted))
+        r.schedule = ReproSchedule::kScripted;
+      else
+        throw std::runtime_error("load_repro: unknown schedule " + v);
+      has_schedule = true;
     } else if (key == "script") {
       std::size_t p;
       while (ls >> p) r.script.push_back(p);
@@ -567,8 +594,14 @@ Repro load_repro(const std::string& path) {
       throw std::runtime_error("load_repro: unknown key " + key);
     }
   }
-  if (r.n == 0 || r.budget == 0)
+  if (r.n == 0 || r.budget == 0 || (!v1 && !has_schedule))
     throw std::runtime_error("load_repro: incomplete repro " + path);
+  // A v1 file wrote an empty script for both a fuzzed seed and a prefix
+  // shrunk to nothing; it always replayed the fuzzed seed.
+  if (v1 && !r.script.empty()) r.schedule = ReproSchedule::kScripted;
+  if (r.schedule == ReproSchedule::kFuzzed && !r.script.empty())
+    throw std::runtime_error("load_repro: fuzzed-schedule repro with a "
+                             "script in " + path);
   return r;
 }
 
@@ -583,7 +616,7 @@ TrialOutcome replay_repro(const Repro& r, const FuzzConfig& cfg) {
   ts.beta = r.beta;
   ts.seed = r.seed;
   ts.budget = r.budget;
-  if (r.script.empty())
+  if (r.schedule == ReproSchedule::kFuzzed)
     ts.fuzzed = true;
   else
     ts.script = &r.script;

@@ -104,6 +104,9 @@ struct FuzzFailure {
   std::string message;
   std::string schedule;
   std::vector<std::size_t> repro_script;  ///< Shrunk grant prefix.
+  /// The shrink verified repro_script (round-robin beyond it) as the
+  /// adversary, even when it is empty; false keeps the fuzzed seed.
+  bool shrunk = false;
   std::string repro_path;                 ///< File dumped (repro_dir set).
 };
 
@@ -117,6 +120,14 @@ FuzzReport run_fuzz(const FuzzConfig& cfg);
 
 // ---- Repro files ----------------------------------------------------------
 
+/// The adversary a repro replays.
+enum class ReproSchedule {
+  kFuzzed,    ///< FuzzedSchedule(n, seed): the failure was not shrunk.
+  kScripted,  ///< `script`, then round-robin; an empty script means
+              ///< round-robin from the first grant.
+};
+const char* repro_schedule_name(ReproSchedule s) noexcept;
+
 struct Repro {
   FuzzProtocol protocol = FuzzProtocol::kAgreement;
   std::size_t n = 0;
@@ -129,9 +140,14 @@ struct Repro {
   std::uint64_t skew_ticks = 2;
   std::uint32_t clobber_bound = 0;
   std::string oracle;                 ///< Expected failing oracle.
-  std::vector<std::size_t> script;    ///< Empty: replay the fuzzed seed.
+  ReproSchedule schedule = ReproSchedule::kFuzzed;
+  std::vector<std::size_t> script;    ///< kScripted only.
 };
 
+/// Files are `apex-fuzz-repro v2`, which names the schedule kind.  A v1
+/// file (no kind) still loads: an empty script there means kFuzzed.
+/// write_repro throws std::invalid_argument for a kFuzzed repro with a
+/// script.
 void write_repro(const std::string& path, const Repro& r);
 Repro load_repro(const std::string& path);
 

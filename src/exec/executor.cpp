@@ -14,15 +14,24 @@ const char* scheme_name(Scheme s) noexcept {
 
 namespace {
 
-/// Cap on the simulated memory one executor lays out: 2^26 cells (1 GiB).
+/// Cap on the simulated memory one executor lays out, counting the state
+/// the simulator keeps per processor as cells too: 2^26 cells (1 GiB).
 /// No run the simulator could finish comes near it (the clock alone ticks
 /// once per ~alpha * n * lg n agreement cycles), so the cap only turns an
 /// oversized program into a clean error before anything is allocated.
 constexpr std::size_t kMaxWords = std::size_t{1} << 26;
 
-/// Reject a layout (clock slots, generation slots, then bins or NewVal)
-/// larger than kMaxWords.  Products saturate just past the cap, so the sum
-/// cannot wrap.
+/// Allowance for scheme_proc's top-level coroutine frame, whose size the
+/// compiler fixes (184 bytes under GCC 12 Release, x86-64).
+constexpr std::size_t kFrameBytes = 256;
+
+/// Cells' worth of state the simulator allocates per spawned processor.
+constexpr std::size_t kProcWords = static_cast<std::size_t>(ceil_div(
+    sim::Simulator::proc_state_bytes() + kFrameBytes, sizeof(sim::Cell)));
+
+/// Reject a layout (per-processor state, clock slots, generation slots,
+/// then bins or NewVal) larger than kMaxWords.  Products saturate just past
+/// the cap, so the sum cannot wrap.
 void check_layout(const pram::Program& p, Scheme scheme,
                   const ExecConfig& cfg) {
   const auto capped = [](std::size_t a, std::size_t b) {
@@ -33,7 +42,9 @@ void check_layout(const pram::Program& p, Scheme scheme,
       scheme == Scheme::kNondeterministic
           ? capped(n, agreement::BinArray::cells_for(n, cfg.beta))
           : capped(n, 1);
-  if (capped(n, 1) + capped(p.nvars(), cfg.generations) + tail > kMaxWords)
+  if (capped(n, kProcWords) + capped(n, 1) +
+          capped(p.nvars(), cfg.generations) + tail >
+      kMaxWords)
     throw std::invalid_argument(
         "Executor: memory layout exceeds the simulator's limit of " +
         std::to_string(kMaxWords) + " words");

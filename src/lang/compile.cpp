@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -48,22 +49,35 @@ struct SegInfo {
   std::uint32_t len = 0;
 };
 
+/// An upper bound on the steps in `text`: the '{' bytes.  Every step opens
+/// with one, and a '{' that opens no step can only sit in a comment.
+std::uint64_t max_steps(std::string_view text) {
+  std::uint64_t n = 0;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while ((p = static_cast<const char*>(std::memchr(p, '{', end - p)))) {
+    ++n;
+    ++p;
+  }
+  return n;
+}
+
 /// Lowers and EREW-checks one step at a time.  prepare() resolves the
 /// declarations, the parser then hands each step to add_step as it closes,
 /// and finish() builds the Program.
 class Analyzer {
  public:
-  Analyzer(const ProgramSrc& src, std::vector<Diagnostic>& diags)
-      : src_(src), diags_(diags) {}
+  explicit Analyzer(std::vector<Diagnostic>& diags) : diags_(diags) {}
 
-  /// Layout, size limits and segments, from the declarations alone.  False
-  /// when a size limit is crossed: then nothing sized by the declarations
-  /// may be allocated, and no step is lowered.
-  bool prepare() {
-    resolve_layout();
-    if (!within_size_limits()) return false;
-    resolve_segments();
-    steps_.reserve(src_.nsteps);
+  /// Layout, size limits and segments, from the declarations alone, for a
+  /// program of `nsteps` steps.  False when a size limit is crossed: then
+  /// nothing sized by the declarations may be allocated, and no step is
+  /// lowered.
+  bool prepare(const ProgramSrc& decls, std::uint64_t nsteps) {
+    name_loc_ = decls.name_loc;
+    resolve_layout(decls);
+    if (!within_size_limits(decls, nsteps)) return false;
+    resolve_segments(decls);
     placed_.assign(static_cast<std::size_t>(procs_), nullptr);
     reads_.assign(static_cast<std::size_t>(nvars_), 0);
     writes_.assign(static_cast<std::size_t>(nvars_), 0);
@@ -115,7 +129,7 @@ class Analyzer {
     } catch (const std::bad_alloc&) {
       throw;  // out of memory is the caller's to report, not a checker gap
     } catch (const std::exception& e) {
-      diags_.push_back({src_.name_loc,
+      diags_.push_back({name_loc_,
                         std::string("internal: program validation failed "
                                     "after analysis: ") +
                             e.what()});
@@ -130,22 +144,22 @@ class Analyzer {
 
   // ---- layout ----------------------------------------------------------
 
-  void resolve_layout() {
-    if (!src_.procs) {
-      error(src_.name_loc, "program declares no 'procs'");
+  void resolve_layout(const ProgramSrc& src) {
+    if (!src.procs) {
+      error(src.name_loc, "program declares no 'procs'");
       procs_ = 1;
-    } else if (*src_.procs == 0) {
-      error(src_.procs_loc, "'procs' must be at least 1");
+    } else if (*src.procs == 0) {
+      error(src.procs_loc, "'procs' must be at least 1");
       procs_ = 1;
     } else {
-      procs_ = *src_.procs;
+      procs_ = *src.procs;
     }
     // Named vars allocate sequentially starting at the declared `vars`
     // total (raw-index space first, names appended after), so a file can
     // freely mix `vars N` + raw refs with named declarations.
-    std::uint64_t next = src_.vars.value_or(0);
-    if (next > kMaxVars) vars_limit_loc_ = src_.vars_loc;
-    for (const VarDeclSrc& d : src_.var_decls) {
+    std::uint64_t next = src.vars.value_or(0);
+    if (next > kMaxVars) vars_limit_loc_ = src.vars_loc;
+    for (const VarDeclSrc& d : src.var_decls) {
       if (is_raw_ref(d.name) || opcode_from_keyword(d.name) ||
           reserved(d.name)) {
         error(d.loc, "variable name '" + std::string(d.name) +
@@ -169,11 +183,11 @@ class Analyzer {
     }
     nvars_ = next;
     if (nvars_ == 0) {
-      error(src_.name_loc, "program declares no variables");
+      error(src.name_loc, "program declares no variables");
       nvars_ = 1;
     }
     if (nvars_ > kMaxVarId + 1) {
-      error(src_.vars ? src_.vars_loc : src_.name_loc,
+      error(src.vars ? src.vars_loc : src.name_loc,
             "variable id overflow: program needs " + std::to_string(nvars_) +
                 " variables but ids are 32-bit (max " +
                 std::to_string(kMaxVarId + 1) + ")");
@@ -188,7 +202,7 @@ class Analyzer {
 
   /// Report declarations whose tables would exceed kMaxTableBytes; false
   /// stops the analysis before anything sized by them is allocated.
-  bool within_size_limits() {
+  bool within_size_limits(const ProgramSrc& src, std::uint64_t nsteps) {
     bool ok = true;
     if (nvars_ > kMaxVars) {
       error(*vars_limit_loc_,
@@ -197,9 +211,8 @@ class Analyzer {
                 std::to_string(kMaxVars));
       ok = false;
     }
-    const std::uint64_t nsteps = src_.nsteps;
     if (nsteps != 0 && procs_ > kMaxSlots / nsteps) {
-      error(src_.procs ? src_.procs_loc : src_.name_loc,
+      error(src.procs ? src.procs_loc : src.name_loc,
             "program too large: procs=" + std::to_string(procs_) + " x " +
                 std::to_string(nsteps) +
                 " steps exceeds the compiler's limit of " +
@@ -209,8 +222,8 @@ class Analyzer {
     return ok;
   }
 
-  void resolve_segments() {
-    for (const SegDeclSrc& d : src_.seg_decls) {
+  void resolve_segments(const ProgramSrc& src) {
+    for (const SegDeclSrc& d : src.seg_decls) {
       const std::string name(d.name);
       if (segs_.count(d.name)) {
         error(d.loc, "segment '" + name + "' already declared");
@@ -438,8 +451,8 @@ class Analyzer {
     reads_[var] = epoch;
   }
 
-  const ProgramSrc& src_;
   std::vector<Diagnostic>& diags_;
+  Loc name_loc_;  ///< Where an internal validation failure is reported.
   std::uint64_t procs_ = 0;
   std::uint64_t nvars_ = 0;
   std::unordered_map<std::string_view, VarInfo> names_;
@@ -465,42 +478,58 @@ class Analyzer {
 
 CompileResult compile_source(const SourceFile& src) {
   CompileResult result;
-  std::vector<Diagnostic>& diags = result.diagnostics;
-  // Pass 1 collects the declarations and the step count, skipping every
-  // step body.  It lexes the whole file, so a lexical error anywhere is
-  // known before anything else and is reported alone.
-  std::vector<Diagnostic> syntax;
+  std::vector<Diagnostic> lexical, syntax, semantic;
+  std::optional<Analyzer> analyzer;
+  auto prepare = [&](const ProgramSrc& decls, std::uint64_t nsteps) {
+    analyzer.emplace(semantic);
+    if (!analyzer->prepare(decls, nsteps)) analyzer.reset();
+  };
+  // One pass while nothing can invalidate it: the declarations read when
+  // the first step closes are all the file has unless one follows a step,
+  // so the analyzer prepares from them and lowers each step as it closes.
+  // The slot limit is checked against the '{' count, which no step count
+  // exceeds.  The pass is dropped when a declaration follows a step, or at
+  // the first error, which a later declaration could make moot; a slot
+  // bound past the limit is such an error, though the exact count may fit.
   std::optional<ProgramSrc> decls;
   {
-    Lexer lexer(src, diags);
-    decls = parse_declarations(lexer, syntax);
+    Lexer lexer(src, lexical);
+    decls = parse(lexer, syntax,
+                  [&](const ProgramSrc& so_far, const StepSrc& st) {
+      if (so_far.nsteps == 1) prepare(so_far, max_steps(src.text));
+      if (so_far.decl_after_step || !semantic.empty()) analyzer.reset();
+      if (analyzer) analyzer->add_step(st);
+    });
+    // A lexical error after the first syntax error still wins.
     if (!decls) {
       while (lexer.next().kind != TokKind::kEnd) {
       }
     }
   }
-  if (!diags.empty()) return result;
-  // Pass 2 parses every step body; once the declarations resolve within
-  // the size limits, each step is lowered and EREW-checked as it closes.
-  // The file lexed cleanly, so only the parser can report here, and its
-  // syntax error replaces every semantic finding.  A file pass 1 rejects
-  // fails here too, at its first syntax error.
-  std::vector<Diagnostic> no_lex_errors;
-  Lexer lexer(src, no_lex_errors);
-  syntax.clear();
-  std::optional<Analyzer> analyzer;
-  if (decls) {
-    analyzer.emplace(*decls, diags);
-    if (!analyzer->prepare()) analyzer.reset();
-  }
-  StepSink lower_step;
-  if (analyzer)
-    lower_step = [&analyzer](const StepSrc& st) { analyzer->add_step(st); };
-  if (!parse(lexer, syntax, lower_step) || !decls) {
-    diags = std::move(syntax);
+  if (!lexical.empty()) {
+    result.diagnostics = std::move(lexical);
     return result;
   }
+  if (!decls) {
+    result.diagnostics = std::move(syntax);
+    return result;
+  }
+  // Without the one pass (or without a step), the whole file's
+  // declarations and step count are known now: prepare from them and
+  // lower every step in a second parse, which the file passes cleanly.
+  if (!analyzer || !semantic.empty() || decls->decl_after_step) {
+    analyzer.reset();
+    semantic.clear();
+    prepare(*decls, decls->nsteps);
+    if (analyzer && decls->nsteps != 0) {
+      Lexer lexer(src, lexical);
+      parse(lexer, syntax, [&](const ProgramSrc&, const StepSrc& st) {
+        analyzer->add_step(st);
+      });
+    }
+  }
   if (analyzer) result.program = analyzer->finish();
+  result.diagnostics = std::move(semantic);
   return result;
 }
 

@@ -1,7 +1,10 @@
 // Semantic analysis + codegen: .pram source -> validated pram::Program,
-// one step at a time.  The declarations (a ProgramSrc) are resolved first;
-// then each step is lowered and EREW-checked as the parser closes it, so
-// the analysis holds one step of source lanes besides its output.
+// one step at a time.  The declarations (a ProgramSrc) are resolved when
+// the first step closes; then each step is lowered and EREW-checked as
+// the parser closes it, so the analysis holds one step of source lanes
+// besides its output.  Declarations may follow the steps that use them,
+// so compile_source falls back to a second parse when one does (see
+// there); the result is the same either way.
 //
 // Every rule pram::Program::validate_erew enforces at construction time is
 // re-checked here FIRST, against the source tree, so violations surface as
@@ -57,10 +60,14 @@ struct CompileResult {
   bool ok() const { return program.has_value(); }
 };
 
-/// Lex + parse + analyze + build in one call, in two passes over `src`:
-/// the first collects the declarations and the step count (step bodies
-/// skipped), the second lowers each step as it closes.  The parser pulls
-/// tokens from the lexer as it goes; the tokens and the source tree borrow
+/// Lex + parse + analyze + build in one call.  A clean file that declares
+/// before its first step is read once: the declarations read by then are
+/// resolved, and each step is lowered as it closes.  A declaration after a
+/// step, an error, or a slot bound (procs x the '{' count) past the limit
+/// drops that pass; the file is then parsed to its end for the whole set
+/// of declarations and the step count, and lowered in a second parse.
+/// The parser pulls tokens from the lexer as it goes; the tokens and the
+/// source tree borrow
 /// `src` and die inside this call, so the result owns everything it holds
 /// and may outlive `src` (rendering its diagnostics needs `src` again).
 /// Running out of memory throws std::bad_alloc.

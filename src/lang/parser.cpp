@@ -62,12 +62,9 @@ class Cursor {
 
 class Parser {
  public:
-  /// An empty `on_step` parses step bodies and drops them; `skip_bodies`
-  /// skips them to their '}' unparsed.
-  Parser(Cursor cursor, std::vector<Diagnostic>& diags,
-         StepSink on_step = {}, bool skip_bodies = false)
-      : in_(cursor), diags_(diags), on_step_(std::move(on_step)),
-        skip_bodies_(skip_bodies) {}
+  /// An empty `on_step` parses step bodies and drops them.
+  Parser(Cursor cursor, std::vector<Diagnostic>& diags, StepSink on_step = {})
+      : in_(cursor), diags_(diags), on_step_(std::move(on_step)) {}
 
   std::optional<ProgramSrc> run() {
     ProgramSrc p;
@@ -131,6 +128,8 @@ class Parser {
       return false;
     }
     const std::string_view kw = cur().text;
+    if (kw == "step") return parse_step(p);
+    if (p.nsteps != 0) p.decl_after_step = true;
     if (kw == "procs") {
       p.procs_loc = take().loc;
       const auto n = expect(TokKind::kInt, "processor count");
@@ -177,29 +176,20 @@ class Parser {
       p.seg_decls.push_back(std::move(d));
       return true;
     }
-    if (kw == "step") {
-      step_.loc = take().loc;
-      if (!expect(TokKind::kLBrace, "'{'")) return false;
-      if (skip_bodies_) {
-        while (!at(TokKind::kRBrace)) {
-          if (at(TokKind::kEnd)) {
-            error_here("expected '}', found end of input");
-            return false;
-          }
-          take();
-        }
-      } else {
-        step_.lanes.clear();
-        while (!at(TokKind::kRBrace))
-          if (!parse_lane(step_.lanes.emplace_back())) return false;
-      }
-      take();  // '}'
-      ++p.nsteps;
-      if (on_step_) on_step_(step_);
-      return true;
-    }
     error_here("expected a declaration or 'step', found " + describe(cur()));
     return false;
+  }
+
+  bool parse_step(ProgramSrc& p) {
+    step_.loc = take().loc;
+    if (!expect(TokKind::kLBrace, "'{'")) return false;
+    step_.lanes.clear();
+    while (!at(TokKind::kRBrace))
+      if (!parse_lane(step_.lanes.emplace_back())) return false;
+    take();  // '}'
+    ++p.nsteps;
+    if (on_step_) on_step_(p, step_);
+    return true;
   }
 
   bool parse_lane(LaneSrc& lane) {
@@ -283,7 +273,6 @@ class Parser {
   Cursor in_;
   std::vector<Diagnostic>& diags_;
   StepSink on_step_;
-  bool skip_bodies_;
   StepSrc step_;  ///< The step being parsed; its lane buffer is reused.
 };
 
@@ -292,11 +281,6 @@ class Parser {
 std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags,
                                 const StepSink& on_step) {
   return Parser(Cursor(lexer), diags, on_step).run();
-}
-
-std::optional<ProgramSrc> parse_declarations(Lexer& lexer,
-                                             std::vector<Diagnostic>& diags) {
-  return Parser(Cursor(lexer), diags, {}, true).run();
 }
 
 std::optional<ProgramSrc> parse(const std::vector<Token>& toks,

@@ -30,17 +30,18 @@
 // names may not collide with keywords or the raw `v<digits>` pattern.
 //
 // The parser hands each `step { ... }` to a StepSink as its closing brace
-// is read: the lanes sit in one buffer the parser reuses for every step,
-// so a ProgramSrc holds only the declarations and the step count, and no
-// parse keeps more than one step of lanes.  All semantic rules live in
-// compile.h.  The parser reads tokens through a cursor with one token of
-// lookahead, either straight from a Lexer (the streaming path
-// compile_source takes) or from a token vector.
+// is read, together with the declarations read so far: the lanes sit in
+// one buffer the parser reuses for every step, so a ProgramSrc holds only
+// the declarations and the step count, and no parse keeps more than one
+// step of lanes.  All semantic rules live in compile.h.  The parser reads
+// tokens through a cursor with one token of lookahead, either straight
+// from a Lexer (the streaming path compile_source takes) or from a token
+// vector.
 //
-// Declarations may follow the steps that use them, so compile_source runs
-// the same parser twice over one file: parse_declarations skips every step
-// body to its '}' and collects what the layout needs, then parse hands
-// each step to a sink that lowers it.
+// Declarations may follow the steps that use them.  ProgramSrc records
+// whether one did (`decl_after_step`): until then the declarations a sink
+// sees with the first step are all the file has, which is what lets
+// compile_source lower every step in the one parse.
 //
 // LIFETIME: every name in a ProgramSrc, StepSrc or LaneSrc is a view into
 // the SourceFile it was parsed from, which must outlive them.  The lanes a
@@ -87,9 +88,6 @@ struct StepSrc {
   std::vector<LaneSrc> lanes;  ///< Reused by the parser for the next step.
 };
 
-/// Called once per step, in source order, when its '}' has been read.
-using StepSink = std::function<void(const StepSrc&)>;
-
 struct VarDeclSrc {
   Loc loc;
   std::string_view name;
@@ -114,7 +112,14 @@ struct ProgramSrc {
   std::vector<VarDeclSrc> var_decls;
   std::vector<SegDeclSrc> seg_decls;
   std::size_t nsteps = 0;             ///< Steps in the file.
+  bool decl_after_step = false;       ///< Some declaration follows a step.
 };
+
+/// Called once per step, in source order, when its '}' has been read.
+/// `so_far` holds the declarations read up to that point, and `nsteps`
+/// counts this step.
+using StepSink =
+    std::function<void(const ProgramSrc& so_far, const StepSrc& step)>;
 
 /// Parse the tokens `lexer` hands out, passing every step to `on_step`
 /// (if set).  Returns nullopt when a parse error was appended to `diags`
@@ -124,13 +129,6 @@ struct ProgramSrc {
 /// (compile_source does).
 std::optional<ProgramSrc> parse(Lexer& lexer, std::vector<Diagnostic>& diags,
                                 const StepSink& on_step = {});
-
-/// The same parser with every step body skipped to its '}': collects the
-/// declarations and the step count.  It accepts every file `parse` does
-/// (lanes hold no '}'), so a syntax error here means `parse` fails too,
-/// though perhaps at an earlier token.
-std::optional<ProgramSrc> parse_declarations(Lexer& lexer,
-                                             std::vector<Diagnostic>& diags);
 
 /// `parse` over a token vector ending in kEnd (as `lex` returns).
 std::optional<ProgramSrc> parse(const std::vector<Token>& toks,

@@ -62,6 +62,12 @@ class Simulator {
   const Memory& memory() const noexcept { return memory_; }
   std::size_t nprocs() const noexcept { return nprocs_; }
 
+  /// Bytes spawn() allocates per processor besides its top-level
+  /// coroutine frame: the Ctx, the processor record and the resume slot.
+  static constexpr std::size_t proc_state_bytes() noexcept {
+    return sizeof(Ctx) + sizeof(ProcState) + sizeof(std::coroutine_handle<>);
+  }
+
   /// Spawn a virtual processor.  `factory` is invoked once with the
   /// processor's Ctx& and must return the protocol coroutine
   /// (e.g. `[&](Ctx& c) { return my_protocol(c, args...); }`).

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.h"
 
@@ -92,7 +93,7 @@ TEST(Fuzz, TrialGridIsDeterministicAndMixed) {
 // detect -> shrink -> dump -> load -> replay.  clobber_bound=1 makes the
 // first legitimate clobber a "failure" — which does NOT depend on the
 // schedule, so the binary search correctly shrinks the prefix all the way
-// to EMPTY (the repro falls back to its seed form and still reproduces).
+// to EMPTY (the repro replays round-robin alone and still reproduces).
 TEST(Fuzz, ShrinkAndReproRoundTrip) {
   FuzzConfig cfg;
   cfg.trials = 8;
@@ -116,6 +117,66 @@ TEST(Fuzz, ShrinkAndReproRoundTrip) {
   std::remove(f.repro_path.c_str());
 }
 
+// A prefix shrunk to nothing is still a scripted adversary: the repro
+// file says so, and its replay runs round-robin without the fuzzed
+// schedule (which would fill schedule_desc).
+TEST(Fuzz, EmptyShrunkScriptReplaysWithoutFuzzedSchedule) {
+  FuzzConfig cfg;
+  cfg.trials = 8;
+  cfg.jobs = 1;
+  cfg.clobber_bound = 1;
+  cfg.repro_dir = ::testing::TempDir();
+  const auto rep = run_fuzz(cfg);
+  ASSERT_FALSE(rep.ok());
+  const FuzzFailure& f = rep.failures.front();
+  ASSERT_TRUE(f.shrunk);
+  ASSERT_TRUE(f.repro_script.empty());
+  EXPECT_FALSE(f.schedule.empty());  // the trial itself ran fuzzed
+
+  const Repro r = load_repro(f.repro_path);
+  EXPECT_EQ(r.schedule, ReproSchedule::kScripted);
+  EXPECT_TRUE(r.script.empty());
+  const TrialOutcome out = replay_repro(r, FuzzConfig{});
+  EXPECT_TRUE(out.failed);
+  EXPECT_EQ(out.oracle, f.oracle);
+  EXPECT_TRUE(out.schedule_desc.empty()) << out.schedule_desc;
+
+  // The same failure left unshrunk replays the fuzzed seed.
+  cfg.shrink = false;
+  const auto unshrunk = run_fuzz(cfg);
+  ASSERT_FALSE(unshrunk.ok());
+  EXPECT_FALSE(unshrunk.failures.front().shrunk);
+  const Repro seeded = load_repro(unshrunk.failures.front().repro_path);
+  EXPECT_EQ(seeded.schedule, ReproSchedule::kFuzzed);
+  EXPECT_FALSE(replay_repro(seeded, FuzzConfig{}).schedule_desc.empty());
+  for (const auto& g : rep.failures) std::remove(g.repro_path.c_str());
+}
+
+// Version 1 files named no schedule kind: an empty script meant the
+// fuzzed seed, any other script a scripted replay.
+TEST(Fuzz, LoadsVersion1ReproFiles) {
+  const std::string path = ::testing::TempDir() + "/apex_repro_v1.txt";
+  const char* body =
+      "protocol agreement\nn 8\nbeta 8\nseed 5\nbudget 40000\n"
+      "skew 2\nclobber_bound 1\noracle clobber_bound\n";
+  for (const char* script : {"script\n", "script 3 1 4\n"}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("apex-fuzz-repro v1\n", f);
+    std::fputs(body, f);
+    std::fputs(script, f);
+    std::fclose(f);
+    const Repro r = load_repro(path);
+    if (r.script.empty()) {
+      EXPECT_EQ(r.schedule, ReproSchedule::kFuzzed);
+    } else {
+      EXPECT_EQ(r.schedule, ReproSchedule::kScripted);
+      EXPECT_EQ(r.script, (std::vector<std::size_t>{3, 1, 4}));
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // The scripted-prefix replay path, driven directly: record a trace, replay
 // it through a repro whose failure criterion needs the stored tolerance.
 TEST(Fuzz, ScriptedReproReplaysRecordedTrace) {
@@ -135,10 +196,12 @@ TEST(Fuzz, ScriptedReproReplaysRecordedTrace) {
   r.budget = ts.budget;
   r.clobber_bound = 1;
   r.oracle = recorded.oracle;
+  r.schedule = ReproSchedule::kScripted;
   r.script = recorded.trace;
   const std::string path = ::testing::TempDir() + "/apex_repro_script.txt";
   write_repro(path, r);
   const Repro back = load_repro(path);
+  ASSERT_EQ(back.schedule, ReproSchedule::kScripted);
   ASSERT_EQ(back.script, recorded.trace);
 
   // Same failure, and (replay determinism) the same message.
@@ -166,6 +229,7 @@ TEST(Fuzz, ReproFileRoundTripsFuzzedSeedForm) {
   EXPECT_EQ(back.budget, r.budget);
   EXPECT_EQ(back.skew_ticks, r.skew_ticks);
   EXPECT_EQ(back.oracle, r.oracle);
+  EXPECT_EQ(back.schedule, ReproSchedule::kFuzzed);
   EXPECT_TRUE(back.script.empty());
   std::remove(path.c_str());
 }

@@ -78,6 +78,7 @@ TEST(WorkloadFuzzRepro, WorkloadReproFilesRoundTrip) {
   r.seed = 77;
   r.budget = 123456;
   r.oracle = "workload_invariant";
+  r.schedule = ReproSchedule::kScripted;
   r.script = {0, 3, 3, 1};
   const std::string path = ::testing::TempDir() + "/workload_repro.txt";
   write_repro(path, r);
@@ -88,6 +89,7 @@ TEST(WorkloadFuzzRepro, WorkloadReproFilesRoundTrip) {
   EXPECT_EQ(back.seed, 77u);
   EXPECT_EQ(back.budget, 123456u);
   EXPECT_EQ(back.oracle, "workload_invariant");
+  EXPECT_EQ(back.schedule, ReproSchedule::kScripted);
   EXPECT_EQ(back.script, (std::vector<std::size_t>{0, 3, 3, 1}));
 }
 

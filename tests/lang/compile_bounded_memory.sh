@@ -11,13 +11,22 @@
 # truncated dump as the program.
 apexcli=$1
 f=$(mktemp) || exit 1
-trap 'rm -f "$f" "$f.ir" "$f.capped"' EXIT
+trap 'rm -f "$f" "$f.ir" "$f.capped" "$f.last"' EXIT
 
 "$apexcli" emit --workload=bfs --n=9985 > "$f" || exit 1
 "$apexcli" compile "$f" > "$f.ir" || exit 1
 
 (ulimit -v 200000; "$apexcli" compile "$f" > "$f.capped") || {
   echo "compile failed under a 200000 KB cap"; exit 1; }
+cmp "$f.ir" "$f.capped" || exit 1
+
+# The same kernel with its declarations after the last step: the compile
+# reads the whole file before it lowers the steps in a second parse, and
+# still holds one step of lanes at a time.
+grep -v -E '^(procs|vars|segment) ' "$f" > "$f.last"
+grep -E '^(procs|vars|segment) ' "$f" >> "$f.last"
+(ulimit -v 200000; "$apexcli" compile "$f.last" > "$f.capped") || {
+  echo "declarations last: compile failed under a 200000 KB cap"; exit 1; }
 cmp "$f.ir" "$f.capped" || exit 1
 
 for cap in 60000 80000 100000; do

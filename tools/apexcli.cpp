@@ -42,8 +42,9 @@
 //       shrink any failure to a minimal scripted-schedule prefix, and
 //       (with --repro-dir) dump replayable repro files.  Output is
 //       byte-identical for every --jobs value.  --replay re-runs a repro
-//       file (exit 0 = failure reproduced); --selftest proves each oracle
-//       catches its injected protocol mutation.
+//       file on the schedule it names, scripted or fuzzed (exit 0 =
+//       failure reproduced); --selftest proves each oracle catches its
+//       injected protocol mutation.
 //
 //   apexcli perfbench [--quick] [--steps=N] [--out=BENCH_core.json]
 //       simulator-core microbenchmark: steps/second over the
@@ -1224,12 +1225,15 @@ int cmd_fuzz(const Args& a) {
       return 2;
     }
     const auto out = check::replay_repro(repro, cfg);
-    std::printf("replay: protocol=%s n=%zu seed=%llu budget=%llu "
-                "script=%zu grants\n",
+    std::printf("replay: protocol=%s n=%zu seed=%llu budget=%llu ",
                 check::fuzz_protocol_name(repro.protocol), repro.n,
                 static_cast<unsigned long long>(repro.seed),
-                static_cast<unsigned long long>(repro.budget),
-                repro.script.size());
+                static_cast<unsigned long long>(repro.budget));
+    if (repro.schedule == check::ReproSchedule::kFuzzed)
+      std::printf("schedule=fuzzed (from the seed)\n");
+    else
+      std::printf("schedule=script (%zu grants, then round-robin)\n",
+                  repro.script.size());
     if (out.failed)
       std::printf("  outcome: FAILED %s: %s\n", out.oracle.c_str(),
                   out.message.c_str());
@@ -1266,9 +1270,10 @@ int cmd_fuzz(const Args& a) {
     std::printf("  %s\n", f.message.c_str());
     if (!f.schedule.empty())
       std::printf("  schedule: %.200s\n", f.schedule.c_str());
-    if (!f.repro_script.empty())
-      std::printf("  shrunk to %zu-grant scripted prefix\n",
-                  f.repro_script.size());
+    if (f.shrunk)
+      std::printf("  shrunk to %zu-grant scripted prefix%s\n",
+                  f.repro_script.size(),
+                  f.repro_script.empty() ? " (round-robin only)" : "");
     if (!f.repro_path.empty())
       std::printf("  repro: %s\n", f.repro_path.c_str());
   }
